@@ -200,21 +200,18 @@ class EstimateScratch:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-packet meeting-time and transfer-size arrays in one pass.
 
-        The expensive lookups run once per *distinct* destination (through
-        the same memoized scalar accessors, so values match the scalar
-        path bit for bit) and are broadcast back to per-packet arrays.
-        ``None`` transfer estimates fall back to the packet's own size,
-        exactly as the scalar path's per-packet default does.
+        Each packet reads the memoized scalar accessors, so the expensive
+        lookups still run once per *distinct* destination and values match
+        the scalar path bit for bit.  ``None`` transfer estimates fall back
+        to the packet's own size, exactly as the scalar path's per-packet
+        default does.
         """
-        unique, inverse = np.unique(destinations, return_inverse=True)
-        meeting = np.empty(len(unique))
-        transfer = np.empty(len(unique))
-        for j, destination in enumerate(unique.tolist()):
-            meeting[j] = self.expected_meeting_time(destination)
-            transfer_bytes = self.expected_transfer_bytes(destination)
-            transfer[j] = np.nan if transfer_bytes is None else transfer_bytes
-        per_packet_transfer = transfer[inverse]
-        per_packet_transfer = np.where(
-            np.isnan(per_packet_transfer), fallback_sizes, per_packet_transfer
-        )
-        return meeting[inverse], per_packet_transfer
+        meeting_time = self.expected_meeting_time
+        transfer_bytes = self.expected_transfer_bytes
+        meeting = []
+        transfer = []
+        for destination, size in zip(destinations.tolist(), fallback_sizes.tolist()):
+            meeting.append(meeting_time(destination))
+            estimate = transfer_bytes(destination)
+            transfer.append(size if estimate is None else estimate)
+        return np.array(meeting, dtype=np.float64), np.array(transfer, dtype=np.float64)

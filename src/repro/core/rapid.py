@@ -408,7 +408,6 @@ class RapidProtocol(RoutingProtocol):
         packets: Sequence[Packet],
         destinations: np.ndarray,
         sizes: np.ndarray,
-        rows: np.ndarray,
         now: float,
     ) -> np.ndarray:
         """``d_holder(i)`` for every packet, as one array kernel pass.
@@ -416,19 +415,13 @@ class RapidProtocol(RoutingProtocol):
         The per-destination meeting-time and transfer-size estimates are
         memoized through an :class:`EstimateScratch` (one lookup per
         distinct destination), queue positions come from the holder
-        buffer's batched prefix-sum kernel, and the final
+        buffer's per-destination serve-order index, and the final
         ``d = E(M) * n`` evaluation is the proven-bit-identical
         :func:`~repro.core.delay.direct_delivery_delay_array`.
         """
         scratch = EstimateScratch(holder.meetings, holder.transfer_sizes)
         meeting, transfer = scratch.fill_arrays(destinations, sizes)
-        holder_store = holder.buffer.store
-        if holder_store is not self.buffer.store:
-            # Buffers normally share the per-simulation store; standalone
-            # fixtures may not, so translate rows through the holder's own.
-            holder_store.register_all(packets)
-            rows = holder_store.rows_for(packets)
-        ahead = holder.buffer.bytes_ahead_batch(packets, rows, now)
+        ahead = holder.buffer.bytes_ahead_batch(packets, now)
         return delay_module.direct_delivery_delay_array(meeting, ahead, sizes, transfer)
 
     def _vectorized_direct_delays(
@@ -447,10 +440,10 @@ class RapidProtocol(RoutingProtocol):
         creation_times = store.creation_times[rows]
         destinations = store.destinations[rows]
         own_delays = self._direct_delays_for_holder(
-            self, candidates, destinations, sizes, rows, now
+            self, candidates, destinations, sizes, now
         )
         peer_delays = self._direct_delays_for_holder(
-            peer, candidates, destinations, sizes, rows, now
+            peer, candidates, destinations, sizes, now
         )
         return own_delays, peer_delays, sizes, creation_times
 
@@ -501,7 +494,7 @@ class RapidProtocol(RoutingProtocol):
         sizes = store.sizes[rows]
         destinations = store.destinations[rows]
         return self._direct_delays_for_holder(
-            self, packets, destinations, sizes, rows, now
+            self, packets, destinations, sizes, now
         )
 
     def _rank_key(
@@ -670,7 +663,7 @@ class RapidProtocol(RoutingProtocol):
     ) -> None:
         """Score all unmemoized eviction victims in one array-kernel pass.
 
-        The vectorised cascade: per-destination batched queue positions,
+        The vectorised cascade: serve-order-index queue positions,
         one fold of ``[own, *replica]`` rates, one combined-delay kernel
         and one eviction-score kernel replace the per-victim scalar chain.
         Values are bit-identical to :meth:`expected_remaining_delay` +
@@ -683,7 +676,7 @@ class RapidProtocol(RoutingProtocol):
         creation_times = store.creation_times[rows]
         destinations = store.destinations[rows]
         own_delays = self._direct_delays_for_holder(
-            self, missing, destinations, sizes, rows, now
+            self, missing, destinations, sizes, now
         )
         rate, degenerate = self._fold_replica_rates(missing, own_delays)
         remaining = delay_module.combined_remaining_delay_array(rate, degenerate)

@@ -13,8 +13,8 @@ by ``(creation_time, packet_id)`` — the static serve order of Algorithm 2
 (oldest first, ties by id) — together with lazily rebuilt prefix sums of
 their sizes.  ``bytes_ahead_of`` is then one binary search instead of a
 scan over the whole buffer, and :meth:`bytes_ahead_batch` answers a whole
-meeting's worth of queries with one vectorised ``searchsorted`` per
-destination.  Setting ``REPRO_SLOW_ESTIMATES=1`` restores the original
+meeting's worth of queries with the same binary search per packet into an
+array.  Setting ``REPRO_SLOW_ESTIMATES=1`` restores the original
 O(buffer) reference scan; both paths return identical values (the golden
 tests assert bit-identical simulation output).
 
@@ -40,11 +40,6 @@ from ..profiling import slow_reference_mode
 from .packet import Packet
 from .packet_store import PacketStore
 
-#: Packet ids must fit the low 32 bits of the encoded serve-order key used
-#: by the batched ``bytes_ahead`` kernel; larger ids fall back to the
-#: per-item binary search (same values, just not vectorised).
-_ID_ENCODING_LIMIT = 1 << 32
-
 
 class _DestinationQueue:
     """Serve-order index of one destination's packets.
@@ -55,35 +50,18 @@ class _DestinationQueue:
     parallel to ``keys``; prefix sums over it are rebuilt lazily on the
     first query after a mutation, so a burst of queries between meetings
     pays O(log n) each while adds/removes stay O(n) list surgery at worst.
-
-    For the batched kernel the queue additionally mirrors itself into
-    numpy arrays (also rebuilt lazily): the unique creation times, the
-    serve order encoded as one ``int64`` key ``rank(creation_time) << 32 |
-    packet_id``, and the size prefix sums.  Encoding both sort dimensions
-    into a single integer key lets one vectorised ``searchsorted`` answer
-    every query for this destination at once.
+    Both the scalar and the batched ``bytes_ahead`` queries of
+    :class:`NodeBuffer` answer through :meth:`bytes_before`; the queried
+    key need not be stored (``bisect_left`` gives its insertion rank).
     """
 
-    __slots__ = (
-        "keys",
-        "sizes",
-        "_prefix",
-        "_dirty",
-        "_np_unique_cts",
-        "_np_keys",
-        "_np_prefix",
-        "_np_dirty",
-    )
+    __slots__ = ("keys", "sizes", "_prefix", "_dirty")
 
     def __init__(self) -> None:
         self.keys: List[Tuple[float, int]] = []
         self.sizes: List[int] = []
         self._prefix: List[int] = [0]
         self._dirty = False
-        self._np_unique_cts: Optional[np.ndarray] = None
-        self._np_keys: Optional[np.ndarray] = None
-        self._np_prefix: Optional[np.ndarray] = None
-        self._np_dirty = True
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -93,7 +71,6 @@ class _DestinationQueue:
         self.keys.insert(index, key)
         self.sizes.insert(index, size)
         self._dirty = True
-        self._np_dirty = True
 
     def remove(self, key: Tuple[float, int]) -> None:
         index = bisect_left(self.keys, key)
@@ -102,7 +79,6 @@ class _DestinationQueue:
         del self.keys[index]
         del self.sizes[index]
         self._dirty = True
-        self._np_dirty = True
 
     def bytes_before(self, key: Tuple[float, int]) -> int:
         """Total size of entries served strictly before *key*."""
@@ -115,60 +91,6 @@ class _DestinationQueue:
     @property
     def max_creation_time(self) -> float:
         return self.keys[-1][0] if self.keys else float("-inf")
-
-    # ------------------------------------------------------------------
-    # Vectorised mirror
-    # ------------------------------------------------------------------
-    def _rebuild_arrays(self) -> bool:
-        """Rebuild the numpy mirror; ``False`` when ids overflow the encoding."""
-        count = len(self.keys)
-        cts = np.fromiter((k[0] for k in self.keys), dtype=np.float64, count=count)
-        ids = np.fromiter((k[1] for k in self.keys), dtype=np.int64, count=count)
-        if count and (ids[-1] >= _ID_ENCODING_LIMIT or ids.max() >= _ID_ENCODING_LIMIT):
-            self._np_keys = None
-            self._np_dirty = False
-            return False
-        unique_cts, ranks = np.unique(cts, return_inverse=True)
-        self._np_unique_cts = unique_cts
-        self._np_keys = (ranks.astype(np.int64) << 32) | ids
-        prefix = np.zeros(count + 1, dtype=np.int64)
-        if count:
-            np.cumsum(
-                np.fromiter(self.sizes, dtype=np.int64, count=count), out=prefix[1:]
-            )
-        self._np_prefix = prefix
-        self._np_dirty = False
-        return True
-
-    def bytes_before_batch(
-        self, creation_times: np.ndarray, packet_ids: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """Vectorised :meth:`bytes_before` for many queries at once.
-
-        Returns ``None`` when the encoding cannot represent this queue's
-        ids (caller falls back to per-item binary search).  Query packets
-        need not be present in the queue; absent creation times resolve to
-        the insertion rank, matching ``bisect_left`` on the tuple keys.
-        """
-        if self._np_dirty and not self._rebuild_arrays():
-            return None
-        if self._np_keys is None:
-            return None
-        if len(packet_ids) and (
-            packet_ids.min() < 0 or packet_ids.max() >= _ID_ENCODING_LIMIT
-        ):
-            return None
-        unique_cts = self._np_unique_cts
-        ranks = np.searchsorted(unique_cts, creation_times, side="left")
-        present = ranks < len(unique_cts)
-        exact = np.zeros(len(ranks), dtype=bool)
-        exact[present] = unique_cts[ranks[present]] == creation_times[present]
-        # A creation time absent from the queue encodes as (rank << 32):
-        # it sorts before every stored key of rank >= rank, exactly where
-        # bisect_left would place the (ct, id) tuple.
-        query_keys = (ranks.astype(np.int64) << 32) | np.where(exact, packet_ids, 0)
-        positions = np.searchsorted(self._np_keys, query_keys, side="left")
-        return self._np_prefix[positions]
 
 
 class NodeBuffer:
@@ -423,62 +345,16 @@ class NodeBuffer:
             return self._bytes_ahead_scan(packet, now)
         return queue.bytes_before((packet.creation_time, packet.packet_id))
 
-    def bytes_ahead_batch(
-        self, packets: Sequence[Packet], rows: np.ndarray, now: float
-    ) -> np.ndarray:
-        """Vectorised :meth:`bytes_ahead_of` over many packets at once.
+    def bytes_ahead_batch(self, packets: Sequence[Packet], now: float) -> np.ndarray:
+        """:meth:`bytes_ahead_of` over many packets at once, as a float array.
 
-        *rows* are the packets' rows in :attr:`store`; the queried packets
-        need not reside in this buffer (the kernel serves "what would the
-        queue position be at this holder" questions for peers too).  One
-        vectorised ``searchsorted`` per distinct destination replaces the
-        per-packet binary searches; the degenerate age-clamping cases fall
-        back to the same reference scan the scalar path uses, element by
-        element, so results are bit-identical.
+        The queried packets need not reside in this buffer (the RAPID
+        kernel also asks "what would the queue position be at this
+        holder" for the peer).  Each query is one binary search into its
+        destination queue's prefix sums, so a whole meeting's queries
+        cost O(C log B) with no per-call array set-up.
         """
-        store = self.store
-        count = len(rows)
-        out = np.zeros(count, dtype=np.float64)
-        if not count or not self._by_destination:
-            return out
-        dests = store.destinations[rows]
-        cts = store.creation_times[rows]
-        ids = store.ids[rows]
-        order = np.argsort(dests, kind="stable")
-        sorted_dests = dests[order]
-        boundaries = np.nonzero(np.diff(sorted_dests))[0] + 1
-        start = 0
-        for end in [*boundaries.tolist(), count]:
-            idx = order[start:end]
-            destination = int(sorted_dests[start])
-            start = end
-            queue = self._by_destination.get(destination)
-            if queue is None or not queue.keys:
-                continue
-            if queue.max_creation_time > now:
-                for i in idx.tolist():
-                    out[i] = self._bytes_ahead_scan(packets[i], now)
-                continue
-            sub_cts = cts[idx]
-            late = sub_cts > now
-            if late.any():
-                regular = idx[~late]
-                for i in idx[late].tolist():
-                    out[i] = self._bytes_ahead_scan(packets[i], now)
-            else:
-                regular = idx
-            if not len(regular):
-                continue
-            batch = queue.bytes_before_batch(cts[regular], ids[regular])
-            if batch is None:
-                for i in regular.tolist():
-                    packet = packets[i]
-                    out[i] = queue.bytes_before(
-                        (packet.creation_time, packet.packet_id)
-                    )
-            else:
-                out[regular] = batch
-        return out
+        return np.array([self.bytes_ahead_of(p, now) for p in packets], dtype=np.float64)
 
     def _bytes_ahead_scan(self, packet: Packet, now: float) -> int:
         """Reference O(buffer) implementation of :meth:`bytes_ahead_of`."""

@@ -11,7 +11,9 @@ The implementation follows the MaxProp design:
 * each node maintains incrementally averaged meeting probabilities to its
   peers, exchanged at every meeting;
 * the cost of a path is the sum of ``1 - p`` over its hops; destination
-  cost is the cheapest such path over the learned probability graph;
+  cost is the cheapest such path over the learned probability graph
+  (one single-source Dijkstra per graph change, memoized until the next
+  meeting or control exchange rewrites the graph);
 * packets that have travelled fewer than ``hopcount_threshold`` hops are
   transmitted first (lowest hop count first) — the "head start" for new
   packets — and the remainder are ordered by increasing destination cost;
@@ -47,11 +49,30 @@ class MaxPropProtocol(RoutingProtocol):
         if hopcount_threshold < 0:
             raise ValueError("hopcount_threshold must be non-negative")
         self.hopcount_threshold = hopcount_threshold
-        #: Own incremental meeting probabilities, ``peer -> probability``.
-        self.meeting_probs: Dict[int, float] = {}
-        #: Meeting-probability vectors learned from peers, ``node -> vector``.
-        self.known_vectors: Dict[int, Dict[int, float]] = {}
+        self._path_costs: Optional[Dict[int, float]] = None
+        self.meeting_probs = {}
+        self.known_vectors = {}
         self._meetings_seen = 0
+
+    @property
+    def meeting_probs(self) -> Dict[int, float]:
+        """Own incremental meeting probabilities, ``peer -> probability``."""
+        return self._meeting_probs
+
+    @meeting_probs.setter
+    def meeting_probs(self, value: Dict[int, float]) -> None:
+        self._meeting_probs = value
+        self._path_costs = None
+
+    @property
+    def known_vectors(self) -> Dict[int, Dict[int, float]]:
+        """Meeting-probability vectors learned from peers, ``node -> vector``."""
+        return self._known_vectors
+
+    @known_vectors.setter
+    def known_vectors(self, value: Dict[int, Dict[int, float]]) -> None:
+        self._known_vectors = value
+        self._path_costs = None
 
     # ------------------------------------------------------------------
     # Meeting probability maintenance
@@ -63,6 +84,7 @@ class MaxPropProtocol(RoutingProtocol):
         self.meeting_probs[peer_id] = self.meeting_probs.get(peer_id, 0.0) + 1.0
         total = sum(self.meeting_probs.values())
         if total > 0:
+            # Reassigning through the setter drops the path-cost memo.
             self.meeting_probs = {k: v / total for k, v in self.meeting_probs.items()}
         self.known_vectors[self.node_id] = dict(self.meeting_probs)
 
@@ -73,31 +95,42 @@ class MaxPropProtocol(RoutingProtocol):
             for owner, vector in self.known_vectors.items():
                 peer.known_vectors[owner] = dict(vector)
             peer.known_vectors[self.node_id] = dict(self.meeting_probs)
+            peer._path_costs = None
 
     # ------------------------------------------------------------------
     # Path cost estimation
     # ------------------------------------------------------------------
     def destination_cost(self, destination: int) -> float:
         """Cheapest known path cost to *destination* (sum of ``1 - p``)."""
-        if destination == self.node_id:
-            return 0.0
-        graph = dict(self.known_vectors)
-        graph[self.node_id] = dict(self.meeting_probs)
-        distances: Dict[int, float] = {self.node_id: 0.0}
-        heap: List[Tuple[float, int]] = [(0.0, self.node_id)]
+        costs = self._path_costs
+        if costs is None:
+            costs = self._path_costs = self._shortest_path_costs()
+        return costs.get(destination, float("inf"))
+
+    def _shortest_path_costs(self) -> Dict[int, float]:
+        """Single-source Dijkstra over the learned probability graph.
+
+        Edge costs ``1 - p`` are non-negative, so a node's distance is
+        final once popped and the full run yields exactly the floats an
+        early exit at any destination would.
+        """
+        node_id = self.node_id
+        own = self._meeting_probs
+        vectors = self._known_vectors
+        distances: Dict[int, float] = {node_id: 0.0}
+        heap: List[Tuple[float, int]] = [(0.0, node_id)]
         while heap:
             cost, node = heapq.heappop(heap)
-            if node == destination:
-                return cost
-            if cost > distances.get(node, float("inf")):
+            if cost > distances[node]:
                 continue
-            for neighbor, prob in graph.get(node, {}).items():
+            edges = own if node == node_id else vectors.get(node, {})
+            for neighbor, prob in edges.items():
                 edge_cost = 1.0 - min(max(prob, 0.0), 1.0)
                 new_cost = cost + edge_cost
                 if new_cost < distances.get(neighbor, float("inf")):
                     distances[neighbor] = new_cost
                     heapq.heappush(heap, (new_cost, neighbor))
-        return distances.get(destination, float("inf"))
+        return distances
 
     # ------------------------------------------------------------------
     # Packet ordering
@@ -105,17 +138,17 @@ class MaxPropProtocol(RoutingProtocol):
     def _priority_order(self, packets: List[Packet]) -> List[Packet]:
         """MaxProp transmission order: new packets first, then by cost."""
         fresh: List[Tuple[int, float, Packet]] = []
-        ranked: List[Tuple[float, float, Packet]] = []
+        ranked: List[Tuple[float, Packet]] = []
         for packet in packets:
             hops = self.hop_counts.get(packet.packet_id, 0)
             cost = self.destination_cost(packet.destination)
             if hops < self.hopcount_threshold:
                 fresh.append((hops, cost, packet))
             else:
-                ranked.append((cost, -packet.age(0.0), packet))
+                ranked.append((cost, packet))
         fresh.sort(key=lambda item: (item[0], item[1]))
         ranked.sort(key=lambda item: item[0])
-        return [item[2] for item in fresh] + [item[2] for item in ranked]
+        return [item[2] for item in fresh] + [item[1] for item in ranked]
 
     def replication_candidates(self, peer: RoutingProtocol, now: float) -> Iterator[Packet]:
         candidates = self.transferable_packets(peer)

@@ -6,7 +6,7 @@ packet attributes into contiguous numpy columns; the object layer
 remains the API.  These tests drive random add / remove / evict / expire
 sequences through a buffer attached to a shared store and assert the two
 layers never disagree — membership, per-row attributes, per-destination
-byte totals, and the batched ``bytes_ahead`` kernel against its scalar
+byte totals, and the batched ``bytes_ahead`` query against its scalar
 counterpart.
 """
 
@@ -118,21 +118,39 @@ def test_store_and_object_layer_never_disagree(ops, capacity):
     _assert_layers_agree(buffer, store)
 
 
+# Queries for packets the buffer does not hold: the peer queue-position
+# questions RAPID asks of the other holder.  Destination 5 never has a
+# queue; creation times may tie with stored packets.
+_absent_queries = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=2000),
+        st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+    ),
+    max_size=10,
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     ops=operation_sequences,
+    absent=_absent_queries,
     now=st.floats(min_value=0.0, max_value=200.0, allow_nan=False),
 )
-def test_bytes_ahead_batch_matches_scalar(ops, now):
-    """The vectorised kernel equals ``bytes_ahead_of`` packet by packet."""
+def test_bytes_ahead_batch_matches_scalar(ops, absent, now):
+    """The batched query equals ``bytes_ahead_of`` packet by packet."""
     buffer = NodeBuffer()
     factory = PacketFactory()
     for op in ops:
         _apply(buffer, factory, op)
-    packets = buffer.packets()
-    rows = buffer.snapshot_rows()
-    batch = buffer.bytes_ahead_batch(packets, rows, now)
-    scalar = [buffer.bytes_ahead_of(packet, now) for packet in packets]
+    queries = list(buffer.packets())
+    queries += [
+        factory.create(source=0, destination=d, size=size, creation_time=ct)
+        for d, size, ct in absent
+    ]
+    batch = buffer.bytes_ahead_batch(queries, now)
+    assert batch.dtype == np.float64
+    scalar = [buffer.bytes_ahead_of(packet, now) for packet in queries]
     np.testing.assert_array_equal(batch, scalar)
 
 

@@ -1,6 +1,10 @@
 """Tests for the baseline routing protocols and the protocol registry."""
 
+import heapq
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dtn.node import Node
 from repro.dtn.packet import PacketFactory
@@ -272,3 +276,72 @@ class TestRandomAndBase:
         b.insert_packet(shared, now=0.0, hop_count=1)
         ids = {p.packet_id for p in a.transferable_packets(b)}
         assert ids == {fresh.packet_id}
+
+
+# ----------------------------------------------------------------------
+# MaxProp path-cost memo against the per-query early-exit Dijkstra
+# ----------------------------------------------------------------------
+def _early_exit_cost(node_id, meeting_probs, known_vectors, destination):
+    """Oracle: the per-query Dijkstra ``destination_cost`` once ran."""
+    if destination == node_id:
+        return 0.0
+    graph = dict(known_vectors)
+    graph[node_id] = dict(meeting_probs)
+    distances = {node_id: 0.0}
+    heap = [(0.0, node_id)]
+    while heap:
+        cost, node = heapq.heappop(heap)
+        if node == destination:
+            return cost
+        if cost > distances.get(node, float("inf")):
+            continue
+        for neighbor, prob in graph.get(node, {}).items():
+            new_cost = cost + (1.0 - min(max(prob, 0.0), 1.0))
+            if new_cost < distances.get(neighbor, float("inf")):
+                distances[neighbor] = new_cost
+                heapq.heappush(heap, (new_cost, neighbor))
+    return distances.get(destination, float("inf"))
+
+
+_MEMO_NODES = 4
+# Node ids _MEMO_NODES (reachable only through assigned vectors) and
+# _MEMO_NODES + 1 (never in any graph) are queried as well.
+_node = st.integers(min_value=0, max_value=_MEMO_NODES - 1)
+_graph_node = st.integers(min_value=0, max_value=_MEMO_NODES)
+_vector = st.dictionaries(_graph_node, st.floats(min_value=-0.5, max_value=1.5), max_size=4)
+_memo_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("meet"), _node, _node),
+        st.tuples(st.just("exchange"), _node, _node),
+        st.tuples(st.just("assign_probs"), _node, _vector),
+        st.tuples(
+            st.just("assign_vectors"), _node, st.dictionaries(_graph_node, _vector, max_size=4)
+        ),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=_memo_ops)
+def test_maxprop_cost_memo_matches_early_exit_dijkstra(ops):
+    context = ProtocolContext(nodes={})
+    nodes = [build(MaxPropProtocol, node_id=i, context=context)[0] for i in range(_MEMO_NODES)]
+    for step, (kind, i, arg) in enumerate(ops):
+        x = nodes[i]
+        if kind == "meet" and arg != i:
+            x.on_meeting_start(nodes[arg], now=float(step))
+            nodes[arg].on_meeting_start(x, now=float(step))
+        elif kind == "exchange" and arg != i:
+            x.exchange_control(nodes[arg], float(step), TransferBudget(capacity=1e9))
+        elif kind == "assign_probs":
+            x.meeting_probs = dict(arg)
+        elif kind == "assign_vectors":
+            x.known_vectors = {owner: dict(vector) for owner, vector in arg.items()}
+        for node in nodes:
+            for destination in range(_MEMO_NODES + 2):
+                expected = _early_exit_cost(
+                    node.node_id, node.meeting_probs, node.known_vectors, destination
+                )
+                assert node.destination_cost(destination) == expected
