@@ -5,8 +5,9 @@ simulation cells.  This package turns that grid into infrastructure:
 
 * :mod:`~repro.engine.spec` — :class:`ScenarioSpec` names one cell as
   plain data; :class:`ScenarioGrid` expands protocols x loads x runs;
-* :mod:`~repro.engine.executor` — :class:`Executor` runs cells serially
-  or fanned out over worker processes, in deterministic order;
+* :mod:`~repro.engine.executor` — :class:`Executor` runs cells in the
+  calling process or on one persistent worker pool, in deterministic
+  order;
 * :mod:`~repro.engine.cache` — :class:`ResultCache` persists per-cell
   results under a content address so re-runs are free;
 * :mod:`~repro.engine.aggregator` — :class:`Aggregator` reduces cell
@@ -204,16 +205,6 @@ class ExperimentEngine:
         decisions_writer = (
             decisions_writer if decisions_writer is not None else self.decisions_writer
         )
-        # Any observed collection (per-cell walls for telemetry, traces,
-        # metrics, decisions) routes misses through the observed worker
-        # entry point.
-        observe = (
-            observability.enabled
-            or telemetry is not None
-            or trace_writer is not None
-            or decisions_writer is not None
-        )
-
         results: List[Optional[SimulationResult]] = [None] * len(cells)
         miss_indices: List[int] = []
         done = 0
@@ -239,63 +230,33 @@ class ExperimentEngine:
             miss_indices = list(range(len(cells)))
 
         if miss_indices:
-            missed_cells = [cells[i] for i in miss_indices]
-
             def _on_progress(completed: int, total: int, spec: ScenarioSpec) -> None:
-                if self.progress is not None:
-                    self.progress(done + completed, len(cells), spec)
+                self.progress(done + completed, len(cells), spec)
 
-            on_progress = _on_progress if self.progress else None
-            failures: List[CellFailure] = []
-            if observe:
-                if self.executor.resilient:
-                    observed, failures = self.executor.run_observed_resilient(
-                        missed_cells, observability, progress=on_progress
+            outcomes, failures = self.executor.run(
+                [cells[i] for i in miss_indices],
+                observability,
+                progress=_on_progress if self.progress else None,
+            )
+            for index, outcome in zip(miss_indices, outcomes):
+                if outcome is None:  # exhausted its retries
+                    continue
+                self.stats.cells_executed += 1
+                results[index] = outcome.result
+                if telemetry is not None:
+                    telemetry.record_cell(
+                        index, cells[index].label, outcome.wall_s, cached=False
                     )
-                else:
-                    observed = self.executor.run_observed(
-                        missed_cells, observability, progress=on_progress
-                    )
-                self.stats.cells_executed += sum(
-                    1 for payload in observed if payload is not None
-                )
-                for index, payload in zip(miss_indices, observed):
-                    if payload is None:  # exhausted its retries
-                        continue
-                    result = SimulationResult.from_dict(payload["result"])
-                    results[index] = result
-                    if telemetry is not None:
-                        telemetry.record_cell(
-                            index, cells[index].label, payload["wall_s"], cached=False
-                        )
-                    if trace_writer is not None:
-                        for line in payload["trace"]:
-                            trace_writer(line)
-                    if decisions_writer is not None:
-                        for line in payload.get("decisions", ()):
-                            decisions_writer(line)
-                    if self.cache is not None:
-                        self.cache.put(cells[index], result)
-                    if self.manifest is not None:
-                        self.manifest.mark_completed(cells[index].cache_key())
-            else:
-                if self.executor.resilient:
-                    executed, failures = self.executor.run_resilient(
-                        missed_cells, progress=on_progress
-                    )
-                else:
-                    executed = self.executor.run(missed_cells, progress=on_progress)
-                self.stats.cells_executed += sum(
-                    1 for result in executed if result is not None
-                )
-                for index, result in zip(miss_indices, executed):
-                    if result is None:  # exhausted its retries
-                        continue
-                    results[index] = result
-                    if self.cache is not None:
-                        self.cache.put(cells[index], result)
-                    if self.manifest is not None:
-                        self.manifest.mark_completed(cells[index].cache_key())
+                if trace_writer is not None:
+                    for line in outcome.trace:
+                        trace_writer(line)
+                if decisions_writer is not None:
+                    for line in outcome.decisions:
+                        decisions_writer(line)
+                if self.cache is not None:
+                    self.cache.put(cells[index], outcome.result)
+                if self.manifest is not None:
+                    self.manifest.mark_completed(cells[index].cache_key())
             self._record_failures(failures, miss_indices, cells, telemetry)
 
         batch_wall = time.perf_counter() - started

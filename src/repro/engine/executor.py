@@ -1,44 +1,47 @@
-"""Cell executors: serial in-process and multiprocess fan-out.
+"""The cell executor: one ``run`` over the calling process or one pool.
 
 The executor is deliberately dumb: it takes a list of cells and returns
-their results *in the same order*.  Caching, aggregation and progress
+their outcomes *in the same order*.  Caching, aggregation and progress
 accounting live above it (:class:`repro.engine.ExperimentEngine`), input
 reconstruction lives below it (:mod:`repro.engine.worker`).
 
+Dispatch rule: with one worker and neither retries nor a per-cell
+timeout, cells run in the calling process through
+:func:`~repro.engine.worker.observe_cell`, with no dictionary round trip.
+Every other configuration ships ``{"spec", "observability"}``
+dictionaries to :func:`~repro.engine.worker.execute_cell` on one
+:class:`~repro.engine.resilient.ResilientPool`.  The pool is created on
+the first batch and *reused* across batches, so exhibits that submit
+many small batches (e.g. a buffer sweep looping over ``run_protocol``)
+pay worker start-up once and keep the workers' memoized inputs warm.
+Call :meth:`Executor.close` (or use the executor as a context manager)
+to release the workers.
+
+Failure policy: with neither retries nor a timeout (the default), a
+failing cell raises out of :meth:`Executor.run` with its original
+exception type, wherever it ran.  With either set, a cell that exhausts
+its attempts becomes a :class:`~repro.engine.resilient.CellFailure` and
+the rest of the batch completes.
+
 Determinism: every cell carries its own seeds inside the spec, and
 workers rebuild inputs from those seeds, so the result of a cell does not
-depend on which backend — or which worker process — executes it.  The
-multiprocess backend uses ``imap`` over spec dictionaries with a
-top-level worker function, which preserves submission order and works
-under any multiprocessing start method.
-
-The worker pool is created lazily on the first multiprocess run and then
-*reused* across runs, so exhibits that submit many small batches (e.g. a
-buffer sweep looping over ``run_protocol``) pay pool start-up once and
-keep the workers' memoized inputs warm.  Workers are daemonic and die
-with the parent; call :meth:`Executor.close` (or use the executor as a
-context manager) to release them earlier.
+depend on which process executes it.
 """
 
 from __future__ import annotations
 
-import math
-import multiprocessing
+import contextlib
 import os
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from ..dtn.results import SimulationResult
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, WorkerError
 from ..observability import ObservabilityOptions
 from .resilient import CellFailure, ResilientPool
 from .spec import ScenarioSpec
-from .worker import execute_cell, execute_cell_observed, run_cell
+from .worker import CellOutcome, execute_cell, observe_cell
 
 #: Progress callbacks receive ``(completed_cells, total_cells, spec)``.
 ProgressCallback = Callable[[int, int, ScenarioSpec], None]
-
-BACKEND_SERIAL = "serial"
-BACKEND_PROCESS = "process"
 
 
 def default_workers() -> int:
@@ -47,22 +50,17 @@ def default_workers() -> int:
 
 
 class Executor:
-    """Runs scenario cells through a chosen backend.
+    """Runs scenario cells in the calling process or on a worker pool.
 
     Args:
-        workers: Number of worker processes; ``1`` selects the serial
-            backend unless *backend* forces otherwise.
-        backend: ``"serial"``, ``"process"`` or ``None`` to pick from
-            *workers*.
-        chunksize: Cells handed to a worker per dispatch; ``None`` sizes
-            chunks so each worker receives roughly four (balancing
-            dispatch overhead against tail latency on uneven cells).
-        retries: Extra attempts per cell after the first; any non-zero
-            value selects the resilient dispatch path (see
-            :mod:`repro.engine.resilient`).
+        workers: Number of worker processes; ``1`` runs cells in the
+            calling process unless *retries* or *cell_timeout* is set.
+        retries: Extra attempts per cell after the first; a non-zero
+            value makes exhausted cells :class:`CellFailure` reports
+            instead of exceptions (see :mod:`repro.engine.resilient`).
         cell_timeout: Per-attempt deadline in seconds; setting it also
-            selects the resilient path (a deadline needs one-cell-per-
-            worker dispatch to be enforceable).
+            selects failure reports, and a worker process even when
+            *workers* is ``1`` (only a separate process can be stopped).
         backoff_base: Base of the deterministic retry backoff
             (``backoff_base * 2**(attempt-1)`` seconds).
     """
@@ -70,225 +68,102 @@ class Executor:
     def __init__(
         self,
         workers: int = 1,
-        backend: Optional[str] = None,
-        chunksize: Optional[int] = None,
         retries: int = 0,
         cell_timeout: Optional[float] = None,
         backoff_base: float = 0.5,
     ) -> None:
         if workers < 1:
             raise ConfigurationError("workers must be at least 1")
-        if backend not in (None, BACKEND_SERIAL, BACKEND_PROCESS):
-            raise ConfigurationError(f"unknown executor backend {backend!r}")
         if retries < 0:
             raise ConfigurationError("retries must not be negative")
         if cell_timeout is not None and cell_timeout <= 0:
             raise ConfigurationError("cell_timeout must be positive")
         self.workers = workers
-        self.backend = backend
-        self.chunksize = chunksize
         self.retries = retries
         self.cell_timeout = cell_timeout
         self.backoff_base = backoff_base
-        self._pool: Optional[multiprocessing.pool.Pool] = None
+        self._pool: Optional[ResilientPool] = None
 
     @property
     def resilient(self) -> bool:
-        """Whether cells should run through the failure-resilient path."""
+        """Whether exhausted cells become failure reports, not exceptions."""
         return self.retries > 0 or self.cell_timeout is not None
 
-    def effective_backend(self) -> str:
-        """The backend in force (serial unless multiple workers)."""
-        if self.backend is not None:
-            return self.backend
-        return BACKEND_PROCESS if self.workers > 1 else BACKEND_SERIAL
+    @property
+    def in_process(self) -> bool:
+        """Whether cells run in the calling process rather than the pool."""
+        return self.workers == 1 and not self.resilient
 
     def run(
         self,
         cells: Sequence[ScenarioSpec],
+        observability: Optional[ObservabilityOptions] = None,
         progress: Optional[ProgressCallback] = None,
-    ) -> List[SimulationResult]:
-        """Execute *cells*; results are returned in submission order."""
-        cells = list(cells)
-        if not cells:
-            return []
-        if self.effective_backend() == BACKEND_SERIAL:
-            return self._run_serial(cells, progress)
-        return self._run_process(cells, progress)
+    ) -> Tuple[List[Optional[CellOutcome]], List[CellFailure]]:
+        """Execute *cells*; return ``(outcomes, failures)``.
 
-    def run_observed(
-        self,
-        cells: Sequence[ScenarioSpec],
-        observability: ObservabilityOptions,
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[dict]:
-        """Execute *cells* through the observed worker entry point.
-
-        Returns the raw observed payloads — ``{"result": dict, "wall_s":
-        float, "trace": [lines]}`` — in submission order.  Both backends
-        route through :func:`repro.engine.worker.execute_cell_observed`,
-        so serial and multiprocess runs produce identical trace bytes and
-        identical result dictionaries; only ``wall_s`` (telemetry about
-        the run, never part of it) differs between hosts.
+        Outcomes keep submission order.  Under the resilient policy a
+        cell that exhausted its retries holds ``None`` there and one
+        :class:`CellFailure` in the failure list; otherwise the failure
+        list is always empty.  *progress* names the cell that just
+        settled.  Results are byte-identical whichever way cells run.
         """
         cells = list(cells)
-        if not cells:
-            return []
-        payloads = [
-            {"spec": spec.to_dict(), "observability": observability.to_dict()}
-            for spec in cells
-        ]
-        observed: List[dict] = []
-        if self.effective_backend() == BACKEND_SERIAL:
-            for index, payload in enumerate(payloads):
-                observed.append(execute_cell_observed(payload))
+        observability = observability or ObservabilityOptions()
+        outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
+        failures: List[CellFailure] = []
+        with contextlib.closing(self._settle(cells, observability)) as settled:
+            for done, (index, outcome, failure) in enumerate(settled, 1):
+                if failure is None:
+                    outcomes[index] = outcome
+                elif self.resilient:
+                    failures.append(failure)
+                elif failure.cause is not None:
+                    raise failure.cause
+                else:
+                    raise WorkerError(f"cell {failure.label}: {failure.error}")
                 if progress is not None:
-                    progress(index + 1, len(cells), cells[index])
-            return observed
+                    progress(done, len(cells), cells[index])
+        failures.sort(key=lambda failure: failure.index)
+        return outcomes, failures
+
+    def _settle(
+        self, cells: List[ScenarioSpec], observability: ObservabilityOptions
+    ) -> Iterator[Tuple[int, Optional[CellOutcome], Optional[CellFailure]]]:
+        """Yield ``(index, outcome, failure)`` as each of *cells* settles."""
+        if self.in_process:
+            for index, spec in enumerate(cells):
+                yield index, observe_cell(spec, observability), None
+            return
         if self._pool is None:
-            self._pool = multiprocessing.Pool(processes=self.workers)
-        chunksize = self.chunksize or max(1, math.ceil(len(cells) / (self.workers * 4)))
-        try:
-            for index, payload in enumerate(
-                self._pool.imap(execute_cell_observed, payloads, chunksize=chunksize)
-            ):
-                observed.append(payload)
-                if progress is not None:
-                    progress(index + 1, len(cells), cells[index])
-        except KeyboardInterrupt:
-            # Ctrl-C mid-sweep: terminate the pool so no orphaned workers
-            # keep simulating, then let callers flush telemetry/caches.
-            self.close()
-            raise
-        return observed
-
-    # ------------------------------------------------------------------
-    # Resilient execution (retries / timeouts / crash isolation)
-    # ------------------------------------------------------------------
-    def run_resilient(
-        self,
-        cells: Sequence[ScenarioSpec],
-        progress: Optional[ProgressCallback] = None,
-    ) -> Tuple[List[Optional[SimulationResult]], List[CellFailure]]:
-        """Execute *cells* with crash isolation, deadlines and retries.
-
-        Returns the ordered result list — ``None`` at the index of any
-        cell that exhausted its retry budget — plus the matching
-        :class:`~repro.engine.resilient.CellFailure` report.  Results of
-        surviving cells are byte-identical to the plain backends (a cell
-        is a pure function of its spec, whichever attempt computed it).
-        """
-        cells = list(cells)
-        payloads = [spec.to_dict() for spec in cells]
-        pool = ResilientPool(
-            execute_cell,
-            workers=self.workers,
-            retries=self.retries,
-            cell_timeout=self.cell_timeout,
-            backoff_base=self.backoff_base,
-        )
-        raw, failures = pool.run(
-            payloads,
-            labels=[spec.label for spec in cells],
-            progress=self._adapt_progress(cells, progress),
-        )
-        results = [
-            SimulationResult.from_dict(item) if item is not None else None
-            for item in raw
-        ]
-        return results, failures
-
-    def run_observed_resilient(
-        self,
-        cells: Sequence[ScenarioSpec],
-        observability: ObservabilityOptions,
-        progress: Optional[ProgressCallback] = None,
-    ) -> Tuple[List[Optional[dict]], List[CellFailure]]:
-        """Observed twin of :meth:`run_resilient` (payloads, failures)."""
-        cells = list(cells)
-        payloads = [
-            {"spec": spec.to_dict(), "observability": observability.to_dict()}
-            for spec in cells
-        ]
-        pool = ResilientPool(
-            execute_cell_observed,
-            workers=self.workers,
-            retries=self.retries,
-            cell_timeout=self.cell_timeout,
-            backoff_base=self.backoff_base,
-        )
-        observed, failures = pool.run(
-            payloads,
-            labels=[spec.label for spec in cells],
-            progress=self._adapt_progress(cells, progress),
-        )
-        return observed, failures
-
-    @staticmethod
-    def _adapt_progress(
-        cells: Sequence[ScenarioSpec], progress: Optional[ProgressCallback]
-    ):
-        """Bridge the pool's ``(done, total)`` callback to the engine's.
-
-        The resilient pool completes cells out of submission order, so
-        the spec reported is the *last finished count's* cell only in the
-        aggregate sense; the engine's printers use it for labelling.
-        """
-        if progress is None:
-            return None
-
-        def adapted(done: int, total: int) -> None:
-            progress(done, total, cells[min(done, total) - 1])
-
-        return adapted
+            self._pool = ResilientPool(
+                execute_cell,
+                workers=self.workers,
+                retries=self.retries,
+                cell_timeout=self.cell_timeout,
+                backoff_base=self.backoff_base,
+            )
+        options = observability.to_dict()
+        with contextlib.closing(
+            self._pool.imap_unordered(
+                [{"spec": spec.to_dict(), "observability": options} for spec in cells],
+                labels=[spec.label for spec in cells],
+            )
+        ) as settled:
+            for index, value, failure in settled:
+                outcome = None if value is None else CellOutcome.from_dict(value)
+                yield index, outcome, failure
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the worker pool (a later run transparently recreates it)."""
+        """Release the worker pool (a later run transparently respawns it)."""
         if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+            self._pool.close()
 
     def __enter__(self) -> "Executor":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # Backends
-    # ------------------------------------------------------------------
-    def _run_serial(
-        self, cells: List[ScenarioSpec], progress: Optional[ProgressCallback]
-    ) -> List[SimulationResult]:
-        results: List[SimulationResult] = []
-        for index, spec in enumerate(cells):
-            results.append(run_cell(spec))
-            if progress is not None:
-                progress(index + 1, len(cells), spec)
-        return results
-
-    def _run_process(
-        self, cells: List[ScenarioSpec], progress: Optional[ProgressCallback]
-    ) -> List[SimulationResult]:
-        if self._pool is None:
-            self._pool = multiprocessing.Pool(processes=self.workers)
-        payloads = [spec.to_dict() for spec in cells]
-        chunksize = self.chunksize or max(1, math.ceil(len(cells) / (self.workers * 4)))
-        results: List[SimulationResult] = []
-        try:
-            for index, result_dict in enumerate(
-                self._pool.imap(execute_cell, payloads, chunksize=chunksize)
-            ):
-                results.append(SimulationResult.from_dict(result_dict))
-                if progress is not None:
-                    progress(index + 1, len(cells), cells[index])
-        except KeyboardInterrupt:
-            # Ctrl-C mid-sweep: terminate the pool so no orphaned workers
-            # keep simulating, then let callers flush telemetry/caches.
-            self.close()
-            raise
-        return results

@@ -1,10 +1,11 @@
 """Cell execution: rebuild inputs from a spec and run the simulator.
 
 This module is the *only* place that turns a :class:`ScenarioSpec` into
-simulator inputs.  Both execution backends go through it — the serial
-backend calls :func:`run_cell` in-process, the multiprocessing backend
-ships spec dictionaries to :func:`execute_cell` (a top-level function, so
-it is importable by worker processes under any start method).
+simulator inputs.  Every cell goes through :func:`observe_cell`: the
+executor calls it in-process when it runs cells in the calling process,
+and its worker pool ships ``{"spec", "observability"}`` dictionaries to
+:func:`execute_cell` (a top-level function, so it is importable by
+worker processes under any start method), which wraps it.
 
 Schedules and workloads are derived purely from the configuration seeds,
 which gives two properties the engine depends on:
@@ -24,6 +25,7 @@ runners had before the engine existed.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..dtn.packet import Packet
@@ -218,9 +220,9 @@ def run_cell(
 ) -> SimulationResult:
     """Run one cell in the current process and return the live result.
 
-    ``extra_options`` lets the observed execution path inject per-run
-    simulator options (a trace sink, a metrics interval) without them
-    becoming part of the cell's identity.
+    ``extra_options`` lets :func:`observe_cell` inject per-run simulator
+    options (a trace sink, a metrics interval) without them becoming part
+    of the cell's identity.
     """
     config = spec.experiment_config()
     protocol = spec.protocol_spec()
@@ -291,31 +293,49 @@ def run_cell(
     )
 
 
-def execute_cell(payload: Dict[str, object]) -> Dict[str, object]:
-    """Worker-process entry point: spec dict in, result dict out.
+@dataclass(frozen=True)
+class CellOutcome:
+    """One executed cell: its result plus what was collected about the run.
 
-    Dictionaries rather than live objects cross the process boundary, so
-    the transport exercises the same round-trip serialization the result
-    cache relies on.
+    ``wall_s`` is the wall time the cell took in the process that ran
+    it; ``trace`` and ``decisions`` hold the cell's canonical JSONL trace
+    and decision-audit lines (empty unless requested).  Trace events
+    carry simulated time only, so the lines are byte-identical no matter
+    which process executes the cell; wall seconds are telemetry *about*
+    the run and never enter the result.
     """
-    spec = ScenarioSpec.from_dict(payload)
-    return run_cell(spec).to_dict()
+
+    result: SimulationResult
+    wall_s: float
+    trace: List[str]
+    decisions: List[str]
+
+    def to_dict(self) -> Dict[str, object]:
+        """The form that crosses the worker process boundary."""
+        return {
+            "result": self.result.to_dict(),
+            "wall_s": self.wall_s,
+            "trace": self.trace,
+            "decisions": self.decisions,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "CellOutcome":
+        """Rebuild an outcome from its :meth:`to_dict` form."""
+        return cls(
+            result=SimulationResult.from_dict(data["result"]),
+            wall_s=data["wall_s"],
+            trace=data["trace"],
+            decisions=data["decisions"],
+        )
 
 
-def execute_cell_observed(payload: Dict[str, object]) -> Dict[str, object]:
-    """Observed worker entry point: cell execution plus per-cell telemetry.
+def observe_cell(spec: ScenarioSpec, observability: ObservabilityOptions) -> CellOutcome:
+    """Run one cell in the current process, collecting what was asked for.
 
-    The payload carries the spec dictionary next to serialized
-    :class:`~repro.observability.telemetry.ObservabilityOptions`.  The
-    return value wraps the result dictionary with the wall seconds the
-    cell took in this process and, when tracing was requested, the cell's
-    canonical JSONL trace lines.  Trace events carry simulated time only,
-    so the lines are byte-identical no matter which backend or process
-    executes the cell; wall seconds are telemetry *about* the run and
-    never enter the result.
+    With observability off no option reaches the simulator, so the result
+    is the one :func:`run_cell` alone returns.
     """
-    spec = ScenarioSpec.from_dict(payload["spec"])
-    observability = ObservabilityOptions.from_dict(payload["observability"])
     sink = MemorySink() if observability.trace else None
     decision_sink = MemorySink() if observability.decisions else None
     extra: Dict[str, object] = {}
@@ -327,10 +347,22 @@ def execute_cell_observed(payload: Dict[str, object]) -> Dict[str, object]:
         extra["metrics_interval"] = observability.metrics_interval
     started = time.perf_counter()
     result = run_cell(spec, extra_options=extra or None)
-    wall_s = time.perf_counter() - started
-    return {
-        "result": result.to_dict(),
-        "wall_s": wall_s,
-        "trace": sink.lines() if sink is not None else [],
-        "decisions": decision_sink.lines() if decision_sink is not None else [],
-    }
+    return CellOutcome(
+        result=result,
+        wall_s=time.perf_counter() - started,
+        trace=sink.lines() if sink is not None else [],
+        decisions=decision_sink.lines() if decision_sink is not None else [],
+    )
+
+
+def execute_cell(payload: Dict[str, object]) -> Dict[str, object]:
+    """Worker-process entry point: ``{"spec", "observability"}`` in.
+
+    Returns :meth:`CellOutcome.to_dict` — ``{"result", "wall_s", "trace",
+    "decisions"}``.  Dictionaries rather than live objects cross the
+    process boundary, so the transport exercises the same round-trip
+    serialization the result cache relies on.
+    """
+    spec = ScenarioSpec.from_dict(payload["spec"])
+    observability = ObservabilityOptions.from_dict(payload["observability"])
+    return observe_cell(spec, observability).to_dict()

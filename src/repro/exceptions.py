@@ -62,3 +62,12 @@ class RecordsUnavailableError(ReproError):
     raw records raise this error with a pointer to the streaming-safe
     alternative instead of failing with an opaque ``KeyError``.
     """
+
+
+class WorkerError(ReproError):
+    """Raised when a worker process dies while running a cell.
+
+    Only the engine's default failure policy raises it (no retries and no
+    per-cell timeout); with either set, the dead worker's cell becomes a
+    :class:`~repro.engine.resilient.CellFailure` instead.
+    """

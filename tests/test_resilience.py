@@ -29,9 +29,9 @@ from repro.engine import (
     SweepManifest,
     SweepTelemetry,
 )
-from repro.engine.resilient import ResilientPool
-from repro.engine.worker import execute_cell
-from repro.exceptions import ConfigurationError
+from repro.engine import worker as cell_worker
+from repro.engine.resilient import RemoteTraceback, ResilientPool
+from repro.exceptions import ConfigurationError, WorkerError
 from repro.experiments.config import ProtocolSpec, SyntheticExperimentConfig
 from repro.observability import JsonlSink, validate_writable
 from repro.observability.telemetry import SWEEP_REPORT_VERSION
@@ -98,8 +98,59 @@ def _simulate_payload(payload):
     return json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _interrupting_progress(done, total):
+def _interrupting_progress(done, total, index):
     raise KeyboardInterrupt
+
+
+def _nap(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+# Stand-ins for the engine's in-worker cell runner.  Workers are forked
+# after the test patches ``repro.engine.worker.run_cell``, so they run
+# these; each keys its misbehaviour on the cell's run index.
+_RUN_CELL = cell_worker.run_cell
+
+
+class _CellBug(Exception):
+    """A cell failure whose type must survive the trip out of a worker."""
+
+
+def _buggy_run_cell(spec, extra_options=None):
+    if spec.run_index == 1:
+        raise _CellBug(f"bug in run {spec.run_index}")
+    return _RUN_CELL(spec, extra_options)
+
+
+def _sigkill_run_cell(spec, extra_options=None):
+    if spec.run_index == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _RUN_CELL(spec, extra_options)
+
+
+def _slow_first_run_cell(spec, extra_options=None):
+    if spec.run_index == 0:
+        time.sleep(1.5)
+    return _RUN_CELL(spec, extra_options)
+
+
+class _Deadline:
+    """Fail the test instead of hanging when a run never returns."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def __enter__(self):
+        def expire(signum, frame):
+            raise TimeoutError(f"run did not return within {self.seconds}s")
+
+        self.previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(self.seconds)
+
+    def __exit__(self, *exc_info):
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, self.previous)
 
 
 # ----------------------------------------------------------------------
@@ -117,8 +168,8 @@ class TestResilientPool:
             ResilientPool(_square, backoff_base=-1.0)
 
     def test_results_keep_submission_order(self):
-        pool = ResilientPool(_square, workers=3)
-        results, failures = pool.run(list(range(7)))
+        with ResilientPool(_square, workers=3) as pool:
+            results, failures = pool.run(list(range(7)))
         assert results == [n * n for n in range(7)]
         assert failures == []
 
@@ -126,8 +177,8 @@ class TestResilientPool:
         assert ResilientPool(_square).run([]) == ([], [])
 
     def test_exhausted_retries_become_failures(self):
-        pool = ResilientPool(_boom, workers=2, retries=1, backoff_base=0.0)
-        results, failures = pool.run([10, 20], labels=["a", "b"])
+        with ResilientPool(_boom, workers=2, retries=1, backoff_base=0.0) as pool:
+            results, failures = pool.run([10, 20], labels=["a", "b"])
         assert results == [None, None]
         assert [f.index for f in failures] == [0, 1]
         assert all(f.attempts == 2 for f in failures)
@@ -137,43 +188,43 @@ class TestResilientPool:
 
     def test_exception_retried_until_success(self, tmp_path):
         marker = str(tmp_path / "raise.marker")
-        pool = ResilientPool(_flaky, workers=1, retries=2, backoff_base=0.0)
-        results, failures = pool.run([(6, marker, "raise"), (3, None, "raise")])
+        with ResilientPool(_flaky, workers=1, retries=2, backoff_base=0.0) as pool:
+            results, failures = pool.run([(6, marker, "raise"), (3, None, "raise")])
         assert results == [36, 9]
         assert failures == []
 
     def test_sigkilled_worker_is_replaced_and_cell_retried(self, tmp_path):
         marker = str(tmp_path / "kill.marker")
-        pool = ResilientPool(_flaky, workers=2, retries=2, backoff_base=0.0)
-        results, failures = pool.run(
-            [(2, None, "ok"), (5, marker, "sigkill"), (4, None, "ok")]
-        )
+        with ResilientPool(_flaky, workers=2, retries=2, backoff_base=0.0) as pool:
+            results, failures = pool.run(
+                [(2, None, "ok"), (5, marker, "sigkill"), (4, None, "ok")]
+            )
         assert results == [4, 25, 16]
         assert failures == []
 
     def test_sigkill_without_retries_fails_that_cell_only(self, tmp_path):
         marker = str(tmp_path / "kill-once.marker")
-        pool = ResilientPool(_flaky, workers=2, retries=0, backoff_base=0.0)
-        results, failures = pool.run(
-            [(2, None, "ok"), (5, marker, "sigkill"), (4, None, "ok")]
-        )
+        with ResilientPool(_flaky, workers=2, retries=0, backoff_base=0.0) as pool:
+            results, failures = pool.run(
+                [(2, None, "ok"), (5, marker, "sigkill"), (4, None, "ok")]
+            )
         assert results == [4, None, 16]
         assert [f.index for f in failures] == [1]
         assert "died" in failures[0].error
 
     def test_timeout_kills_and_retries(self, tmp_path):
         marker = str(tmp_path / "hang.marker")
-        pool = ResilientPool(
+        with ResilientPool(
             _flaky, workers=1, retries=1, cell_timeout=1.0, backoff_base=0.0
-        )
-        results, failures = pool.run([(9, marker, "hang")])
+        ) as pool:
+            results, failures = pool.run([(9, marker, "hang")])
         assert results == [81]
         assert failures == []
 
     def test_timeout_without_retries_reports_failure(self, tmp_path):
         marker = str(tmp_path / "hang-once.marker")
-        pool = ResilientPool(_flaky, workers=1, retries=0, cell_timeout=0.5)
-        results, failures = pool.run([(9, marker, "hang")])
+        with ResilientPool(_flaky, workers=1, retries=0, cell_timeout=0.5) as pool:
+            results, failures = pool.run([(9, marker, "hang")])
         assert results == [None]
         assert len(failures) == 1
         assert "timed out" in failures[0].error
@@ -185,11 +236,51 @@ class TestResilientPool:
 
     def test_progress_counts_every_settled_cell(self, tmp_path):
         calls = []
-        pool = ResilientPool(_boom, workers=1, retries=0, backoff_base=0.0)
-        pool.run([1, 2], progress=lambda done, total: calls.append((done, total)))
-        assert calls == [(1, 2), (2, 2)]
+        with ResilientPool(_boom, workers=1, retries=0, backoff_base=0.0) as pool:
+            pool.run(
+                [1, 2],
+                progress=lambda done, total, index: calls.append((done, total, index)),
+            )
+        assert calls == [(1, 2, 0), (2, 2, 1)]
+
+    def test_queued_cells_do_not_busy_poll(self):
+        """More cells than workers: the parent waits on replies, not a spin."""
+        with ResilientPool(_nap, workers=1) as pool:
+            pool.run([0.0])  # spawn the worker outside the measurement
+            cpu, wall = time.process_time(), time.monotonic()
+            results, failures = pool.run([0.25] * 4)
+            cpu, wall = time.process_time() - cpu, time.monotonic() - wall
+        assert results == [0.25] * 4 and failures == []
+        assert wall >= 1.0
+        assert cpu < 0.2 * wall
+
+    def test_workers_persist_across_batches(self):
+        with ResilientPool(_square, workers=2) as pool:
+            assert pool.run([1, 2])[0] == [1, 4]
+            pids = {slot.process.pid for slot in pool._slots}
+            assert pool.run([3, 4, 5])[0] == [9, 16, 25]
+            assert {slot.process.pid for slot in pool._slots} == pids
+        assert pool._slots == []
+
+    def test_failure_carries_the_worker_exception(self):
+        with ResilientPool(_boom, workers=2) as pool:
+            _, failures = pool.run([1, 2])
+        cause = failures[0].cause
+        assert isinstance(cause, RuntimeError) and "cell 1 exploded" in str(cause)
+        assert isinstance(cause.__cause__, RemoteTraceback)
+        assert "_boom" in str(cause.__cause__)
+
+    def test_abandoned_batch_stops_its_workers(self):
+        with ResilientPool(_square, workers=2) as pool:
+            settled = pool.imap_unordered(list(range(6)))
+            next(settled)
+            settled.close()
+            assert pool._slots == []
+            # The next batch spawns fresh workers.
+            assert pool.run([3])[0] == [9]
 
     def test_keyboard_interrupt_reaps_workers(self):
+        # Not closed on purpose: the interrupt alone must reap the workers.
         pool = ResilientPool(_square, workers=2)
         with pytest.raises(KeyboardInterrupt):
             pool.run(list(range(4)), progress=_interrupting_progress)
@@ -206,8 +297,10 @@ class TestResilientPool:
         completed sweep's serialized results match an undisturbed run."""
         marker = str(tmp_path / "chaos.marker")
         undisturbed = [_simulate_payload((seed, None)) for seed in (1, 2, 3)]
-        pool = ResilientPool(_simulate_payload, workers=2, retries=2, backoff_base=0.0)
-        disturbed, failures = pool.run([(1, None), (2, marker), (3, None)])
+        with ResilientPool(
+            _simulate_payload, workers=2, retries=2, backoff_base=0.0
+        ) as pool:
+            disturbed, failures = pool.run([(1, None), (2, marker), (3, None)])
         assert failures == []
         assert os.path.exists(marker)  # the kill really happened
         assert disturbed == undisturbed
@@ -238,9 +331,48 @@ class TestResilientExecutor:
         return grid.cells()
 
     def test_resilient_property(self):
+        """The dispatch rule: the calling process runs cells only for one
+        worker under the default failure policy; all else uses the pool."""
         assert Executor(workers=2).resilient is False
         assert Executor(workers=2, retries=1).resilient is True
         assert Executor(workers=2, cell_timeout=30.0).resilient is True
+        assert Executor(workers=1).in_process is True
+        assert Executor(workers=2).in_process is False
+        assert Executor(workers=1, retries=1).in_process is False
+        assert Executor(workers=1, cell_timeout=30.0).in_process is False
+        cells = self._cells(num_runs=1)[:1]
+        serial = Executor(workers=1)
+        serial.run(cells)
+        assert serial._pool is None
+        with Executor(workers=1, retries=1) as pooled:
+            outcomes, failures = pooled.run(cells)
+            assert pooled._pool is not None and failures == []
+        assert outcomes[0].result.to_dict() == serial.run(cells)[0][0].result.to_dict()
+
+    def test_default_policy_raises_the_original_exception(self, monkeypatch):
+        monkeypatch.setattr(cell_worker, "run_cell", _buggy_run_cell)
+        cells = self._cells()
+        with ExperimentEngine(workers=2) as engine:
+            with pytest.raises(_CellBug, match="bug in run 1"):
+                engine.run_cells(cells)
+            # The engine stays usable: the next batch gets fresh workers.
+            healthy = [spec for spec in cells if spec.run_index == 0]
+            assert len(engine.run_cells(healthy)) == len(healthy)
+
+    def test_sigkilled_worker_without_retries_raises(self, monkeypatch):
+        monkeypatch.setattr(cell_worker, "run_cell", _sigkill_run_cell)
+        with ExperimentEngine(workers=2) as engine, _Deadline(60):
+            with pytest.raises(WorkerError, match="worker died"):
+                engine.run_cells(self._cells())
+
+    def test_progress_names_the_settled_cell(self, monkeypatch):
+        monkeypatch.setattr(cell_worker, "run_cell", _slow_first_run_cell)
+        cells = self._cells()[:2]
+        assert [spec.run_index for spec in cells] == [0, 1]
+        seen = []
+        with Executor(workers=2) as executor:
+            executor.run(cells, progress=lambda done, total, spec: seen.append((done, spec)))
+        assert seen == [(1, cells[1]), (2, cells[0])]
 
     def test_executor_validates_resilience_knobs(self):
         with pytest.raises(ConfigurationError):
