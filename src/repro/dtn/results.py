@@ -10,21 +10,23 @@ lives in :mod:`repro.analysis`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 import numpy as np
 
 from ..exceptions import RecordsUnavailableError
+from .columns import RecordColumns
 from .node import NodeCounters
 from .packet import DEFAULT_TRAFFIC_CLASS, Packet, PacketRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (analysis -> results)
     from ..analysis.streaming import StreamingSummary
 
-#: Version of the :meth:`SimulationResult.to_dict` wire format.  Bump it
-#: whenever the serialized shape (or the semantics of a field) changes so
-#: that on-disk caches keyed on it are invalidated rather than misread.
+#: Version of the canonical :meth:`SimulationResult.to_dict` format (and
+#: of the header :meth:`SimulationResult.to_wire` derives from it).  Bump
+#: it whenever the serialized shape (or the semantics of a field) changes
+#: so that on-disk caches keyed on it are invalidated rather than misread.
 RESULT_SCHEMA_VERSION = 1
 
 #: Valid values of the simulator ``result_mode`` option: ``"records"``
@@ -36,13 +38,36 @@ RESULT_MODE_STREAMING = "streaming"
 RESULT_MODES = (RESULT_MODE_RECORDS, RESULT_MODE_STREAMING)
 
 
+class _Records:
+    """The :attr:`SimulationResult.records` field: records held one way.
+
+    A result holds its per-packet records either as a dict of
+    :class:`PacketRecord` (what the simulator builds) or as
+    :class:`RecordColumns` (what the worker pipe, the result cache and
+    :meth:`SimulationResult.from_dict` decode to), never both.  The first
+    read of ``records`` on a column-backed result builds the dict and
+    drops the columns, so callers that mutate records stay correct.
+    """
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return None  # the dataclass default: no records
+        held = result._held
+        if isinstance(held, RecordColumns):
+            held = result._held = held.to_records()
+        return held
+
+    def __set__(self, result, records) -> None:
+        result._held = {} if records is None else records
+
+
 @dataclass
 class SimulationResult:
     """Outcome of one simulation run."""
 
     protocol_name: str
     duration: float
-    records: Dict[int, PacketRecord] = field(default_factory=dict)
+    records: Dict[int, PacketRecord] = _Records()
     node_counters: Dict[int, NodeCounters] = field(default_factory=dict)
     meetings_processed: int = 0
     meetings_missed: int = 0
@@ -132,17 +157,28 @@ class SimulationResult:
         self._require_records("undelivered_records()")
         return [r for r in self.records.values() if not r.delivered]
 
+    def _columns(self) -> RecordColumns:
+        """The records as columns: the held ones, or built from the dict.
+
+        Columns built from a dict are not kept, so later mutations of
+        the records are always seen.
+        """
+        held = self._held
+        if isinstance(held, RecordColumns):
+            return held
+        return RecordColumns.from_records(held.values())
+
     @property
     def num_packets(self) -> int:
         if self.streaming is not None:
             return self.streaming.num_packets
-        return len(self.records)
+        return len(self._held)
 
     @property
     def num_delivered(self) -> int:
         if self.streaming is not None:
             return self.streaming.num_delivered
-        return sum(1 for r in self.records.values() if r.delivered)
+        return int(np.count_nonzero(self._columns()["delivered"]))
 
     # ------------------------------------------------------------------
     # Headline metrics
@@ -154,7 +190,7 @@ class SimulationResult:
         return self.num_delivered / self.num_packets
 
     def delays(self, include_undelivered: bool = False) -> List[float]:
-        """Per-packet delivery delays in seconds.
+        """Per-packet delivery delays in seconds, in record order.
 
         With ``include_undelivered=True`` undelivered packets contribute the
         time they spent in the system until the end of the run — the
@@ -167,12 +203,16 @@ class SimulationResult:
                 :meth:`delay_quantile`) rather than per-packet delays.
         """
         self._require_records("delays()")
-        values: List[float] = []
-        for record in self.records.values():
-            delay = record.delay(horizon=self.duration if include_undelivered else None)
-            if delay is not None:
-                values.append(delay)
-        return values
+        return self._delays(self._columns(), include_undelivered).tolist()
+
+    def _delays(self, columns: RecordColumns, include_undelivered: bool) -> np.ndarray:
+        """:meth:`PacketRecord.delay` of every row that has one."""
+        delays = columns["delivery_time"] - columns["creation_time"]
+        has_delay = _has_delay(columns)
+        if not include_undelivered:
+            return delays[has_delay]
+        residence = np.maximum(0.0, self.duration - columns["creation_time"])
+        return np.where(has_delay, delays, residence)
 
     def average_delay(self, include_undelivered: bool = False) -> float:
         """Mean delivery delay in seconds (0 when nothing qualifies).
@@ -192,10 +232,7 @@ class SimulationResult:
             if summary.num_delivered == 0:
                 return 0.0
             return summary.delay_sum / summary.num_delivered
-        values = self.delays(include_undelivered=include_undelivered)
-        if not values:
-            return 0.0
-        return sum(values) / len(values)
+        return _mean(self._delays(self._columns(), include_undelivered))
 
     def max_delay(self, include_undelivered: bool = False) -> float:
         """Maximum delivery delay in seconds (0 when nothing qualifies).
@@ -208,10 +245,10 @@ class SimulationResult:
             if include_undelivered:
                 return max(summary.delay_max, summary.undelivered_residence_max)
             return summary.delay_max
-        values = self.delays(include_undelivered=include_undelivered)
-        if not values:
+        values = self._delays(self._columns(), include_undelivered)
+        if not values.size:
             return 0.0
-        return max(values)
+        return float(values.max())
 
     def delay_quantile(self, q: float) -> float:
         """Nearest-rank quantile of the first-delivery delays.
@@ -223,10 +260,10 @@ class SimulationResult:
         """
         if self.streaming is not None:
             return self.streaming.delay_sketch.quantile(q)
-        values = self.delays()
-        if not values:
+        values = self._delays(self._columns(), False)
+        if not values.size:
             return 0.0
-        return float(np.quantile(np.asarray(values), q, method="inverted_cdf"))
+        return float(np.quantile(values, q, method="inverted_cdf"))
 
     def deadline_success_rate(self) -> float:
         """Fraction of all generated packets delivered within their deadline."""
@@ -234,8 +271,7 @@ class SimulationResult:
             return 0.0
         if self.streaming is not None:
             return self.streaming.num_delivered_in_deadline / self.num_packets
-        met = sum(1 for r in self.records.values() if r.met_deadline())
-        return met / self.num_packets
+        return int(np.count_nonzero(_met_deadline(self._columns()))) / self.num_packets
 
     # ------------------------------------------------------------------
     # Per-class metrics (multi-class traffic workloads)
@@ -245,9 +281,7 @@ class SimulationResult:
         the workload never assigned classes)."""
         if self.streaming is not None:
             return self.streaming.traffic_classes()
-        if not self.records:
-            return []
-        return sorted({r.packet.traffic_class for r in self.records.values()})
+        return _traffic_classes(self._columns())
 
     def class_records(self, traffic_class: str) -> List[PacketRecord]:
         """All records of packets belonging to *traffic_class*.
@@ -286,17 +320,23 @@ class SimulationResult:
                     ),
                 }
             return breakdown
-        for traffic_class in self.traffic_classes():
-            records = self.class_records(traffic_class)
-            delivered = [r for r in records if r.delivered]
-            delays = [r.delay() for r in delivered if r.delay() is not None]
-            met = sum(1 for r in records if r.met_deadline())
+        columns = self._columns()
+        labels = np.full(len(columns), DEFAULT_TRAFFIC_CLASS, dtype=object)
+        for row, traffic_class in columns.traffic_classes.items():
+            labels[row] = traffic_class
+        delays = columns["delivery_time"] - columns["creation_time"]
+        has_delay = _has_delay(columns)
+        met = _met_deadline(columns)
+        for traffic_class in _traffic_classes(columns):
+            in_class = labels == traffic_class
+            packets = int(np.count_nonzero(in_class))
+            delivered = int(np.count_nonzero(in_class & columns["delivered"]))
             breakdown[traffic_class] = {
-                "packets": float(len(records)),
-                "delivered": float(len(delivered)),
-                "delivery_rate": len(delivered) / len(records) if records else 0.0,
-                "average_delay": sum(delays) / len(delays) if delays else 0.0,
-                "deadline_success_rate": met / len(records) if records else 0.0,
+                "packets": float(packets),
+                "delivered": float(delivered),
+                "delivery_rate": delivered / packets,
+                "average_delay": _mean(delays[in_class & has_delay]),
+                "deadline_success_rate": int(np.count_nonzero(in_class & met)) / packets,
             }
         return breakdown
 
@@ -375,15 +415,33 @@ class SimulationResult:
     # Serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        """Serialize to a JSON-compatible dictionary.
+        """Serialize to the canonical JSON-compatible dictionary.
 
         The representation is complete: every metric of this class can be
-        recomputed from the round-tripped result.  It is the transport
-        format between worker processes and the on-disk result cache
-        (:mod:`repro.engine`).  Profiling timings are included only when
-        present, keeping unprofiled payloads byte-identical to schema
-        version 1 as written before timings existed.
+        recomputed from the round-tripped result.  Its ``records`` list is
+        read straight from the record columns, without building packet
+        objects.  Profiling timings are included only when present,
+        keeping unprofiled payloads byte-identical to schema version 1 as
+        written before timings existed.
         """
+        return self._payload(self._columns().payloads(), self._class_breakdown())
+
+    def to_wire(self) -> Dict[str, object]:
+        """The transport form: ``{"header", "columns"}``.
+
+        ``header`` is the :meth:`to_dict` payload with its ``records``
+        list replaced by the column descriptor (row count, layout, side
+        tables) and without the derived ``classes`` block; ``columns`` is
+        the packed column bytes.  This is what crosses the worker pipe and
+        what the result cache stores; :meth:`from_wire` decodes it.
+        """
+        columns = self._columns()
+        return {"header": self._payload(columns.descriptor()), "columns": columns.to_bytes()}
+
+    def _payload(
+        self, records: object, classes: Optional[Dict[str, Dict[str, float]]] = None
+    ) -> Dict[str, object]:
+        """The serialized result around *records* (and *classes*, if any)."""
         payload: Dict[str, object] = {
             "schema": RESULT_SCHEMA_VERSION,
             "protocol_name": self.protocol_name,
@@ -395,19 +453,7 @@ class SimulationResult:
             "metadata_bytes": self.metadata_bytes,
             "replications": self.replications,
             "deliveries": self.deliveries,
-            "records": [
-                {
-                    "packet": self._packet_payload(r.packet),
-                    "delivered": r.delivered,
-                    "delivery_time": r.delivery_time,
-                    "delivering_node": r.delivering_node,
-                    "hop_count": r.hop_count,
-                    "replicas_created": r.replicas_created,
-                    "drops": r.drops,
-                    "extra": dict(r.extra),
-                }
-                for r in self.records.values()
-            ],
+            "records": records,
             "node_counters": {
                 str(node_id): asdict(counters)
                 for node_id, counters in self.node_counters.items()
@@ -426,7 +472,6 @@ class SimulationResult:
             # default instantaneous payloads stay byte-identical to the wire
             # format as written before the durational contact layer existed.
             payload["contact"] = contact
-        classes = self._class_breakdown()
         if classes is not None:
             # Included only when a non-default traffic class exists, so
             # single-class payloads stay byte-identical to the wire format
@@ -445,29 +490,12 @@ class SimulationResult:
             payload["streaming"] = self.streaming.to_dict()
         return payload
 
-    @staticmethod
-    def _packet_payload(packet: Packet) -> Dict[str, object]:
-        """The serialized packet; class/priority only when non-default."""
-        payload: Dict[str, object] = {
-            "packet_id": packet.packet_id,
-            "source": packet.source,
-            "destination": packet.destination,
-            "size": packet.size,
-            "creation_time": packet.creation_time,
-            "deadline": packet.deadline,
-        }
-        if packet.traffic_class != DEFAULT_TRAFFIC_CLASS:
-            payload["traffic_class"] = packet.traffic_class
-        if packet.priority:
-            payload["priority"] = packet.priority
-        return payload
-
     def _class_breakdown(self) -> Optional[Dict[str, Dict[str, float]]]:
         """The per-class metric block, or ``None`` for single-class runs.
 
         The block is derived entirely from the (class-tagged) records,
-        so :meth:`from_dict` recomputes rather than stores it — a
-        round-trip therefore reproduces it byte for byte.
+        so decoding recomputes rather than stores it — a round-trip
+        therefore reproduces it byte for byte.
         """
         classes = self.traffic_classes()
         if classes in ([], [DEFAULT_TRAFFIC_CLASS]):
@@ -522,13 +550,37 @@ class SimulationResult:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SimulationResult":
-        """Rebuild a result serialized by :meth:`to_dict`.
+        """Rebuild a result serialized by :meth:`to_dict` (column-backed).
 
         Raises:
             ValueError: when the payload was written by an incompatible
                 schema version.
             KeyError/TypeError: when the payload is structurally corrupt.
         """
+        return cls._from_payload(data, RecordColumns.from_payloads(data["records"]))
+
+    @classmethod
+    def from_wire(cls, wire: Dict[str, object]) -> "SimulationResult":
+        """Rebuild a result from :meth:`to_wire`'s form.
+
+        The column bytes are wrapped, not copied, and records are built
+        only when a caller reads :attr:`records`.
+
+        Raises:
+            ValueError: on an incompatible schema, or when the column
+                bytes disagree with the header's descriptor.
+            KeyError/TypeError: when the header is structurally corrupt.
+        """
+        header = wire["header"]
+        return cls._from_payload(
+            header, RecordColumns.from_buffer(wire["columns"], header["records"])
+        )
+
+    @classmethod
+    def _from_payload(
+        cls, data: Dict[str, object], columns: RecordColumns
+    ) -> "SimulationResult":
+        """A column-backed result from a payload's non-record fields."""
         schema = data.get("schema")
         if schema != RESULT_SCHEMA_VERSION:
             raise ValueError(
@@ -545,31 +597,7 @@ class SimulationResult:
             replications=int(data["replications"]),
             deliveries=int(data["deliveries"]),
         )
-        for entry in data["records"]:
-            packet_data = entry["packet"]
-            packet = Packet(
-                packet_id=int(packet_data["packet_id"]),
-                source=int(packet_data["source"]),
-                destination=int(packet_data["destination"]),
-                size=int(packet_data["size"]),
-                creation_time=float(packet_data["creation_time"]),
-                deadline=packet_data["deadline"],
-                traffic_class=str(
-                    packet_data.get("traffic_class", DEFAULT_TRAFFIC_CLASS)
-                ),
-                priority=int(packet_data.get("priority", 0)),
-            )
-            record = PacketRecord(
-                packet=packet,
-                delivered=bool(entry["delivered"]),
-                delivery_time=entry["delivery_time"],
-                delivering_node=entry["delivering_node"],
-                hop_count=entry["hop_count"],
-                replicas_created=int(entry["replicas_created"]),
-                drops=int(entry["drops"]),
-                extra=dict(entry.get("extra", {})),
-            )
-            result.records[packet.packet_id] = record
+        result._held = columns
         for node_id, counters in data.get("node_counters", {}).items():
             result.node_counters[int(node_id)] = NodeCounters(**counters)
         result.timings = {
@@ -612,10 +640,11 @@ class SimulationResult:
 
         Packet ids must be unique across the merged runs; the experiment
         harness guarantees this by sharing a :class:`PacketFactory`.
-        Record-mode results verify uniqueness via the records; streaming
-        results carry no per-packet state, so they merge their summaries
-        (exactly, bucket- and counter-wise) and rely on the harness
-        guarantee.  Mixing the two modes in one merge is rejected.
+        Record-mode results verify uniqueness via the records, which the
+        merged result holds as the runs' record columns one after another;
+        streaming results carry no per-packet state, so they merge their
+        summaries (exactly, bucket- and counter-wise) and rely on the
+        harness guarantee.  Mixing the two modes in one merge is rejected.
         """
         results = list(results)
         if not results:
@@ -639,11 +668,13 @@ class SimulationResult:
             for result in results[1:]:
                 summary.merge(result.streaming)
             merged.streaming = summary
+        columns = RecordColumns.concat([result._columns() for result in results])
+        ids, counts = np.unique(columns["packet_id"], return_counts=True)
+        if ids.size != len(columns):
+            duplicates = ids[counts > 1].tolist()
+            raise ValueError(f"duplicate packet ids across runs: {duplicates[:5]} ...")
+        merged._held = columns
         for result in results:
-            overlapping = set(merged.records) & set(result.records)
-            if overlapping:
-                raise ValueError(f"duplicate packet ids across runs: {sorted(overlapping)[:5]} ...")
-            merged.records.update(result.records)
             merged.meetings_processed += result.meetings_processed
             merged.meetings_missed += result.meetings_missed
             merged.total_capacity_bytes += result.total_capacity_bytes
@@ -671,4 +702,42 @@ class SimulationResult:
             # lose the per-phase breakdown of multi-day sweeps.
             for key, value in result.timings.items():
                 merged.timings[key] = merged.timings.get(key, 0.0) + float(value)
+            # Per-node counters add up node by node the same way.
+            for node_id, counters in result.node_counters.items():
+                total = merged.node_counters.setdefault(node_id, NodeCounters())
+                for counter in fields(NodeCounters):
+                    name = counter.name
+                    setattr(total, name, getattr(total, name) + getattr(counters, name))
         return merged
+
+
+def _has_delay(columns: RecordColumns) -> np.ndarray:
+    """Rows whose :meth:`PacketRecord.delay` is defined without a horizon."""
+    return columns["delivered"] & ~np.isnan(columns["delivery_time"])
+
+
+def _met_deadline(columns: RecordColumns) -> np.ndarray:
+    """:meth:`PacketRecord.met_deadline` of every row."""
+    deadline = columns["creation_time"] + columns["deadline"]
+    within = np.isnan(columns["deadline"]) | (columns["delivery_time"] <= deadline)
+    return _has_delay(columns) & within
+
+
+def _traffic_classes(columns: RecordColumns) -> List[str]:
+    """The sorted traffic-class names present in *columns*."""
+    names = set(columns.traffic_classes.values())
+    if len(columns.traffic_classes) < len(columns):
+        names.add(DEFAULT_TRAFFIC_CLASS)
+    return sorted(names)
+
+
+def _mean(values: np.ndarray) -> float:
+    """Mean of *values* summed in order (0 when empty).
+
+    Python's ``sum`` over the list keeps the left-to-right rounding of
+    the per-record loop; ``ndarray.sum`` sums pairwise and can differ in
+    the last bit.
+    """
+    if not values.size:
+        return 0.0
+    return sum(values.tolist()) / values.size

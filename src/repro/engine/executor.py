@@ -10,7 +10,9 @@ timeout, cells run in the calling process through
 :func:`~repro.engine.worker.observe_cell`, with no dictionary round trip.
 Every other configuration ships ``{"spec", "observability"}``
 dictionaries to :func:`~repro.engine.worker.execute_cell` on one
-:class:`~repro.engine.resilient.ResilientPool`.  The pool is created on
+:class:`~repro.engine.resilient.ResilientPool`, and each result comes
+back as a small header plus its raw record-column bytes, which the
+parent wraps without copying or decoding.  The pool is created on
 the first batch and *reused* across batches, so exhibits that submit
 many small batches (e.g. a buffer sweep looping over ``run_protocol``)
 pay worker start-up once and keep the workers' memoized inputs warm.

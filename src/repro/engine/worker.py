@@ -311,9 +311,15 @@ class CellOutcome:
     decisions: List[str]
 
     def to_dict(self) -> Dict[str, object]:
-        """The form that crosses the worker process boundary."""
+        """The form that crosses the worker process boundary.
+
+        The result travels as :meth:`SimulationResult.to_wire` — a small
+        header plus the raw bytes of its record columns — so the pipe
+        carries no per-record objects and the parent decodes nothing
+        until a caller asks for records.
+        """
         return {
-            "result": self.result.to_dict(),
+            "result": self.result.to_wire(),
             "wall_s": self.wall_s,
             "trace": self.trace,
             "decisions": self.decisions,
@@ -321,9 +327,12 @@ class CellOutcome:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CellOutcome":
-        """Rebuild an outcome from its :meth:`to_dict` form."""
+        """Rebuild an outcome from its :meth:`to_dict` form.
+
+        The result's columns are views of the received bytes (no copy).
+        """
         return cls(
-            result=SimulationResult.from_dict(data["result"]),
+            result=SimulationResult.from_wire(data["result"]),
             wall_s=data["wall_s"],
             trace=data["trace"],
             decisions=data["decisions"],
@@ -359,9 +368,11 @@ def execute_cell(payload: Dict[str, object]) -> Dict[str, object]:
     """Worker-process entry point: ``{"spec", "observability"}`` in.
 
     Returns :meth:`CellOutcome.to_dict` — ``{"result", "wall_s", "trace",
-    "decisions"}``.  Dictionaries rather than live objects cross the
-    process boundary, so the transport exercises the same round-trip
-    serialization the result cache relies on.
+    "decisions"}``, where ``result`` is ``{"header", "columns"}``
+    (:meth:`SimulationResult.to_wire`): the header the result cache also
+    stores, plus the packed column bytes.  Plain data rather than live
+    objects crosses the process boundary, so the transport exercises the
+    same encoding the result cache relies on.
     """
     spec = ScenarioSpec.from_dict(payload["spec"])
     observability = ObservabilityOptions.from_dict(payload["observability"])

@@ -8,6 +8,7 @@ bit-identical guarantee rests on, and the CLI engine flags.
 """
 
 import json
+import struct
 
 import pytest
 
@@ -236,6 +237,29 @@ class TestEngineEquivalenceAndSweep:
         assert get_default_engine() is not special
 
 
+def _entry_corruptions():
+    """Ways a cache entry can rot, each mapping its bytes to bad ones."""
+
+    def truncated(data):
+        return data[:20]
+
+    def wrong_byte_length(data):
+        return data[:-1]
+
+    def garbage_header(data):
+        (length,) = struct.unpack_from("<Q", data)
+        return data[:8] + b"\xff" * length + data[8 + length :]
+
+    def foreign_dtype(data):
+        (length,) = struct.unpack_from("<Q", data)
+        header = json.loads(data[8 : 8 + length])
+        header["result"]["records"]["layout"][0][1] = "<i4"
+        encoded = json.dumps(header).encode()
+        return struct.pack("<Q", len(encoded)) + encoded + data[8 + length :]
+
+    return [truncated, wrong_byte_length, garbage_header, foreign_dtype]
+
+
 class TestResultCache:
     def test_hit_miss_and_stats(self, tmp_path, tiny_grid):
         cache = ResultCache(tmp_path / "cache")
@@ -274,6 +298,15 @@ class TestResultCache:
         assert healed.stats.cells_executed == 1  # re-simulated, then re-stored
         third = ExperimentEngine(workers=1, cache_dir=cache_dir).run_cells([spec])
         assert third[0].summary() == first[0].summary()
+        # Every way an entry can rot is a miss that re-simulates and heals.
+        for corrupt in _entry_corruptions():
+            entry.write_bytes(corrupt(entry.read_bytes()))
+            healed = ExperimentEngine(workers=1, cache_dir=cache_dir)
+            assert healed.run_cells([spec])[0].to_dict() == first[0].to_dict()
+            assert healed.cache.stats.corrupt_entries == 1, corrupt.__name__
+            assert healed.stats.cells_executed == 1, corrupt.__name__
+            served = ResultCache(cache_dir).get(spec)
+            assert served is not None and served.to_dict() == first[0].to_dict()
 
     def test_warm_cache_serves_without_simulator(self, tmp_path, tiny_grid, monkeypatch):
         cache_dir = tmp_path / "cache"

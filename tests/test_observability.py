@@ -22,6 +22,7 @@ from repro.dtn.results import SimulationResult
 from repro.dtn.simulator import run_simulation
 from repro.dtn.workload import PoissonWorkload
 from repro.engine import ExperimentEngine, ObservabilityOptions, ScenarioGrid, SweepTelemetry
+from repro.engine.cache import ENTRY_SUFFIX, ResultCache
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ProtocolSpec, SyntheticExperimentConfig
 from repro.mobility.exponential import ExponentialMobility
@@ -469,10 +470,10 @@ class TestEngineObservability:
             engine.run_cells(
                 grid.cells(), observability=ObservabilityOptions(metrics_interval=30.0)
             )
-        entries = list((tmp_path / "cache").glob("*/*.json"))
+        entries = list((tmp_path / "cache").glob(f"*/*{ENTRY_SUFFIX}"))
         assert entries, "instrumented run stored nothing"
         for entry in entries:
-            stored = json.loads(entry.read_text())
+            stored = ResultCache.read_header(entry)
             assert "metrics" not in stored["result"]
             assert "timings" not in stored["result"]
         # A later uninstrumented run serves clean results from the cache.

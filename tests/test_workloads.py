@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro import units
 from repro.cli import main as cli_main
-from repro.dtn.packet import DEFAULT_TRAFFIC_CLASS, PacketFactory
+from repro.dtn.packet import DEFAULT_TRAFFIC_CLASS, PacketFactory, PacketRecord
 from repro.dtn.results import SimulationResult
 from repro.dtn.workload import PoissonWorkload
 from repro.engine import ExperimentEngine, ScenarioGrid, ScenarioSpec
@@ -510,13 +510,20 @@ class TestWorkloadCLI:
 # ----------------------------------------------------------------------
 # Packet tagging
 # ----------------------------------------------------------------------
+def _packet_payload(packet):
+    """The serialized form of *packet* inside a result's canonical dict."""
+    result = SimulationResult(protocol_name="x", duration=1.0)
+    result.records[packet.packet_id] = PacketRecord(packet=packet)
+    return result.to_dict()["records"][0]["packet"]
+
+
 class TestPacketClassTagging:
     def test_default_packets_serialize_without_class_keys(self):
         factory = PacketFactory()
         packet = factory.create(source=0, destination=1)
         assert packet.traffic_class == DEFAULT_TRAFFIC_CLASS
         assert packet.priority == 0
-        payload = SimulationResult._packet_payload(packet)
+        payload = _packet_payload(packet)
         assert "traffic_class" not in payload and "priority" not in payload
 
     def test_classed_packets_roundtrip(self):
@@ -524,11 +531,9 @@ class TestPacketClassTagging:
         packet = factory.create(
             source=0, destination=1, traffic_class="news", priority=3
         )
-        payload = SimulationResult._packet_payload(packet)
+        payload = _packet_payload(packet)
         assert payload["traffic_class"] == "news" and payload["priority"] == 3
         result = SimulationResult(protocol_name="x", duration=1.0)
-        from repro.dtn.packet import PacketRecord
-
         result.records[packet.packet_id] = PacketRecord(packet=packet)
         restored = SimulationResult.from_dict(json.loads(json.dumps(result.to_dict())))
         rebuilt = restored.records[packet.packet_id].packet
