@@ -6,7 +6,7 @@ Runs one buffer-constrained synthetic RAPID cell twice:
    :class:`~repro.dtn.packet_store.PacketStore` columns, batched
    ``bytes_ahead`` / candidate-utility / eviction array kernels, cached
    buffer snapshots, the per-destination serve-order index and the
-   metadata change journal;
+   column-block metadata exchange;
 2. the reference path (``REPRO_SLOW_ESTIMATES=1``) — the original
    O(buffer) scans, scalar per-packet estimates, eager full sort and
    per-step eviction rescoring.

@@ -30,7 +30,7 @@ from .delay import (
     uniform_exponential_remaining_delay,
 )
 from .meeting_estimator import MeetingTimeEstimator
-from .metadata import MetadataStore, PacketMetadata, ReplicaInfo
+from .metadata import MetadataStore, ReplicaBlock
 from .rapid import RapidProtocol
 from .transfer_estimator import TransferSizeEstimator
 from .utility import (
@@ -47,8 +47,7 @@ __all__ = [
     "MeetingTimeEstimator",
     "TransferSizeEstimator",
     "MetadataStore",
-    "PacketMetadata",
-    "ReplicaInfo",
+    "ReplicaBlock",
     "UtilityMetric",
     "AverageDelayMetric",
     "DeadlineMetric",

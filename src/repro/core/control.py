@@ -20,11 +20,15 @@ end point of the Figure 8 sweep.
 from __future__ import annotations
 
 import abc
+from itertools import repeat
 from typing import TYPE_CHECKING, Optional
+
+import numpy as np
 
 from .. import constants
 from ..exceptions import ConfigurationError
 from ..routing.base import TransferBudget
+from .metadata import ReplicaBlock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .rapid import RapidProtocol
@@ -100,7 +104,10 @@ class InBandControlChannel(ControlChannel):
     the sender's buffer state (own delivery-delay estimates), meeting-time
     tables and average transfer sizes, then third-party replica information
     changed since the last exchange with this peer — until either the
-    opportunity or the configured metadata cap is exhausted.
+    opportunity or the configured metadata cap is exhausted.  Third-party
+    records cut by the budget are not re-sent until they change again,
+    because the exchange time recorded for the peer advances past them
+    whether or not they fit.
     """
 
     name = "in-band"
@@ -142,29 +149,33 @@ class InBandControlChannel(ControlChannel):
         """Send the sender's own delivery-delay estimates, delta-encoded.
 
         Only packets that are new to this peer or whose estimate changed
-        appreciably since the last exchange are sent (Section 4.2).
+        appreciably since the last exchange are sent (Section 4.2).  The
+        estimates last sent to each peer are gathered into a column beside
+        the buffer's (``nan`` where nothing was sent), so the changed set
+        is one mask over the buffer's estimates.
         """
         tolerance = constants.RAPID_ESTIMATE_TOLERANCE
-        previously_sent = sender.sent_buffer_estimates.setdefault(receiver.node_id, {})
-        packets = sender.buffer.packets()
+        ids = sender.buffer.packet_ids
         if sender._slow_reference:
-            estimates = [sender.own_delay_estimate(packet, now) for packet in packets]
+            estimates = np.array([sender.own_delay_estimate(p, now) for p in sender.buffer.packets()])
         else:
             # One array-kernel pass over the whole buffer instead of a
             # scalar own_delay_estimate call per packet (bit-identical;
             # the golden tests hold fast and reference paths together).
             estimates = sender.buffer_delay_estimates(now)
-        changed = []
-        for packet, estimate in zip(packets, estimates):
-            estimate = float(estimate)
-            last = previously_sent.get(packet.packet_id)
-            if last is not None and last > 0 and abs(estimate - last) <= tolerance * last:
-                continue
-            changed.append((packet, estimate))
+        sent = sender.sent_buffer_estimates.setdefault(receiver.node_id, {})
+        last = np.fromiter(map(sent.get, ids, repeat(np.nan)), dtype=np.float64, count=len(ids))
+        with np.errstate(invalid="ignore"):
+            unchanged = (last > 0) & (np.abs(estimates - last) <= tolerance * last)
+        changed = np.flatnonzero(~unchanged)
         sendable = meta_budget.consume_entries(len(changed), constants.RAPID_METADATA_ENTRY_BYTES)
-        for packet, estimate in changed[:sendable]:
-            receiver.metadata.update_replica(packet, sender.node_id, estimate, now)
-            previously_sent[packet.packet_id] = estimate
+        if sendable > 0:
+            ids = np.array(ids, dtype=np.int64)[changed[:sendable]]
+            estimates = estimates[changed[:sendable]]
+            holders = np.full(sendable, sender.node_id, dtype=np.int64)
+            updated = np.full(sendable, now, dtype=np.float64)
+            receiver.metadata.merge(ReplicaBlock(ids, holders, estimates, updated), now)
+            sent.update(zip(ids.tolist(), estimates.tolist()))
 
     def _send_tables(self, sender, receiver, meta_budget: _MetadataBudget) -> None:
         """Send meeting-time tables, charging only for entries changed since
@@ -185,18 +196,14 @@ class InBandControlChannel(ControlChannel):
         """Forward replica records learned since the last exchange with the peer.
 
         Only records whose information meaningfully changed since then are
-        sent; each record is one compact entry (packet id, holder id,
-        quantised delay estimate).
+        sent, in the sender's slot rank order; each record is one compact
+        entry (packet id, holder id, quantised delay estimate).
         """
         last = sender.last_metadata_exchange.get(receiver.node_id, -1.0)
-        pending = []
-        for entry in sender.metadata.entries_changed_since(last):
-            for info in entry.replicas.values():
-                if info.changed_at > last and info.node_id != receiver.node_id:
-                    pending.append((entry.packet, info))
-        sendable = meta_budget.consume_entries(len(pending), constants.RAPID_METADATA_ENTRY_BYTES)
-        for packet, info in pending[:sendable]:
-            receiver.metadata.merge_replica_record(packet, info, now)
+        slots = sender.metadata.entries_changed_since(last, exclude_holder=receiver.node_id)
+        sendable = meta_budget.consume_entries(len(slots), constants.RAPID_METADATA_ENTRY_BYTES)
+        if sendable > 0:
+            receiver.metadata.merge(sender.metadata.replica_block(slots[:sendable]), now)
 
 
 class LocalControlChannel(InBandControlChannel):

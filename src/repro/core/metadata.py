@@ -1,169 +1,178 @@
 """Replica metadata maintained by RAPID's control plane (Section 4.2).
 
-For every packet it has encountered (in its own buffer or learned about
-from peers), a RAPID node keeps the list of nodes believed to carry a
-replica together with each holder's own estimate of its direct-delivery
-delay.  Entries are timestamped so that (i) only fresher information
-overwrites older information, and (ii) the in-band control channel can
-send only entries that changed since the last exchange with a given peer.
+For every packet it has encountered, a RAPID node keeps the nodes
+believed to carry a replica and each holder's own estimate of its
+direct-delivery delay, timestamped so that only fresher information
+overwrites older information and the in-band channel sends only records
+that changed since the last exchange with a peer.
 
-The changed-since query used to scan every entry per exchange; the store
-now keeps an append-only *change journal* of ``(time, packet_id)`` pairs,
-so :meth:`MetadataStore.entries_changed_since` binary-searches the journal
-suffix instead.  Entries carry a monotone insertion sequence number so the
-suffix can be re-emitted in exact store insertion order — the order the
-scan produced, which determines *which* records fit a metadata budget.
+The store keeps one *slot* per live (packet, holder) record in parallel
+columns: the packet id, the holder, the estimate, ``updated_at`` (the
+estimate's own timestamp), ``changed_at`` (when this node last learned
+something meaningful about it) and a *rank*, ``seq * 2**32 + order``: entries take ``seq`` in
+creation order and slots take ``order`` from one store-wide counter, so
+rank order is the order of a per-packet dict of per-holder records (a
+holder removed and re-added goes last).  That order decides which records
+fit when a metadata budget cuts an exchange.  The channel selects changed
+slots with one mask (:meth:`MetadataStore.entries_changed_since`) and the
+receiver merges the block in one vectorised pass
+(:meth:`MetadataStore.merge`); the scalar entry points
+(:meth:`~MetadataStore.update_replica`, :meth:`~MetadataStore.remove_replica`)
+write single slots.  A dict of dicts, packet -> holder -> slot in holder
+order, indexes the slots.  Freed slots are reused, and the columns double
+only when none is free.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+import math
+from collections import deque
+from itertools import chain, repeat
+from typing import Dict, List, NamedTuple, Optional
+
+import numpy as np
 
 from .. import constants
 from ..dtn.packet import Packet
 
-#: Rebuild (compact) the change journal once it grows this many times
-#: larger than the live entry count; stale ids from removed packets and
-#: superseded changes are dropped in the rebuild.
-_JOURNAL_COMPACT_FACTOR = 8
-_JOURNAL_COMPACT_MIN = 1024
+_INF = math.inf
+
+#: A slot's rank is ``seq * _ORDER_SPAN + order``.
+_ORDER_SPAN = 1 << 32
+
+#: The holder -> slot map of an unknown packet (never written).
+_NO_SLOTS: Dict[int, int] = {}
+
+#: The slot columns: name, dtype and the value of a new slot (``changed_at``
+#: ``-inf`` marks a free slot, so no mask selects one).
+_COLUMNS = (
+    ("ids", np.int64, 0),
+    ("holders", np.int64, 0),
+    ("estimates", np.float64, 0.0),
+    ("updated", np.float64, 0.0),
+    ("changed", np.float64, -_INF),
+    ("ranks", np.int64, 0),
+)
 
 
-@dataclass(slots=True)
-class ReplicaInfo:
-    """What one node is believed to know about one replica of a packet.
+class ReplicaBlock(NamedTuple):
+    """Replica records in flight between two stores, one array per field."""
 
-    ``updated_at`` is the timestamp of the estimate itself; ``changed_at``
-    is the local time at which this node last learned something *meaningful*
-    about the replica (new holder, or an estimate that moved by more than
-    the tolerance).  The control channel forwards a replica record only when
-    ``changed_at`` is newer than the last exchange with the peer, which is
-    what keeps the flooded metadata proportional to genuinely new
-    information.
-    """
-
-    node_id: int
-    delay_estimate: float
-    updated_at: float
-    changed_at: float = 0.0
-
-
-@dataclass(slots=True)
-class PacketMetadata:
-    """Everything a node knows about one packet's replicas."""
-
-    packet: Packet
-    replicas: Dict[int, ReplicaInfo] = field(default_factory=dict)
-    last_change: float = 0.0
-    #: Store insertion sequence (monotone per :class:`MetadataStore`);
-    #: preserves the store's entry iteration order for journal queries.
-    seq: int = 0
-
-    @property
-    def packet_id(self) -> int:
-        return self.packet.packet_id
-
-    def replica_count(self) -> int:
-        return len(self.replicas)
-
-    def delay_estimates(self) -> List[float]:
-        """Delay estimates of every known replica holder."""
-        return [info.delay_estimate for info in self.replicas.values()]
-
-    def holders(self) -> List[int]:
-        return list(self.replicas.keys())
+    packet_ids: np.ndarray
+    holders: np.ndarray
+    estimates: np.ndarray
+    updated: np.ndarray
 
 
 class MetadataStore:
-    """Per-node store of packet replica metadata."""
+    """Per-node store of packet replica metadata, kept as slot columns.
+
+    Each column is a numpy array (``_ids``, ``_holders``, ...) for the
+    block operations, with a memoryview beside it (``_ids_cells``, ...)
+    for the scalar entry points: a memoryview item read or write costs
+    about half a numpy scalar access.
+    """
 
     def __init__(self) -> None:
-        self._entries: Dict[int, PacketMetadata] = {}
+        #: Known packets -> entry ``seq`` (insertion order is ``seq`` order).
+        self._seq_of: Dict[int, int] = {}
+        #: Known packets -> holder -> slot, in holder order.
+        self._slots_of: Dict[int, Dict[int, int]] = {}
         self._next_seq = 0
-        #: Append-only change journal: parallel lists of (non-decreasing)
-        #: change times and packet ids.  Simulation time never goes
-        #: backwards, but clamping keeps the binary search sound even if a
-        #: caller passes an out-of-order timestamp — an inflated journal
-        #: time only widens the candidate suffix, and candidates are
-        #: re-filtered against the entry's actual ``last_change``.
-        self._journal_times: List[float] = []
-        self._journal_ids: List[int] = []
+        self._next_order = 0
+        self._free: List[int] = []
+        for name, dtype, _ in _COLUMNS:
+            self._set_column(name, np.empty(0, dtype))
+
+    def _set_column(self, name: str, column: np.ndarray) -> None:
+        setattr(self, "_" + name, column)
+        setattr(self, f"_{name}_cells", memoryview(column))
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def __contains__(self, packet_id: int) -> bool:
-        return packet_id in self._entries
+        return packet_id in self._seq_of
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._seq_of)
 
-    def get(self, packet_id: int) -> Optional[PacketMetadata]:
-        return self._entries.get(packet_id)
+    def holders(self, packet_id: int) -> List[int]:
+        """Believed holders of *packet_id*, in holder order."""
+        return list(self._slots_of.get(packet_id, _NO_SLOTS))
 
-    def entries(self) -> List[PacketMetadata]:
-        return list(self._entries.values())
-
-    def entries_changed_since(self, timestamp: float) -> List[PacketMetadata]:
-        """Entries whose replica information changed after *timestamp*.
-
-        Served from the change journal: one binary search finds the suffix
-        of journal records newer than *timestamp*; the (deduplicated)
-        candidates are then re-checked against their live ``last_change``
-        and emitted in store insertion order — exactly the set and order
-        the full-scan implementation produced.
-        """
-        start = bisect_right(self._journal_times, timestamp)
-        if start >= len(self._journal_ids):
-            return []
-        entries = self._entries
-        candidates: Dict[int, None] = {}
-        for packet_id in self._journal_ids[start:]:
-            candidates[packet_id] = None
-        changed = [
-            entry
-            for packet_id in candidates
-            if (entry := entries.get(packet_id)) is not None
-            and entry.last_change > timestamp
+    def estimates(self, packet_id: int, exclude_holder: int = -1) -> List[float]:
+        """Delay estimates of the holders of *packet_id* other than *exclude_holder*."""
+        estimates = self._estimates_cells
+        return [
+            estimates[slot]
+            for holder, slot in self._slots_of.get(packet_id, _NO_SLOTS).items()
+            if holder != exclude_holder
         ]
-        changed.sort(key=lambda entry: entry.seq)
-        return changed
 
-    def total_replica_entries(self) -> int:
-        """Number of (packet, holder) pairs stored — sizing for metadata bytes."""
-        return sum(entry.replica_count() for entry in self._entries.values())
+    def entries_changed_since(
+        self, timestamp: float, exclude_holder: Optional[int] = None
+    ) -> np.ndarray:
+        """Slots whose record changed after *timestamp*, in rank order.
 
-    # ------------------------------------------------------------------
-    # Updates
-    # ------------------------------------------------------------------
-    def _journal_append(self, time: float, packet_id: int) -> None:
-        times = self._journal_times
-        if times and time < times[-1]:
-            time = times[-1]
-        times.append(time)
-        self._journal_ids.append(packet_id)
-        if len(times) > _JOURNAL_COMPACT_MIN and len(times) > _JOURNAL_COMPACT_FACTOR * len(
-            self._entries
-        ):
-            self._compact_journal()
+        Records of *exclude_holder* are left out.  Freed slots carry a
+        ``changed_at`` of ``-inf``, so the one mask skips them.
+        """
+        mask = self._changed > timestamp
+        if exclude_holder is not None:
+            mask &= self._holders != exclude_holder
+        slots = np.flatnonzero(mask)
+        if len(slots) > 1:
+            slots = slots[np.argsort(self._ranks[slots])]
+        return slots
 
-    def _compact_journal(self) -> None:
-        """Rebuild the journal from live entries (one record per entry)."""
-        records = sorted(
-            (entry.last_change, packet_id) for packet_id, entry in self._entries.items()
+    def replica_block(self, slots: np.ndarray) -> ReplicaBlock:
+        """The records at *slots*, gathered for a peer's :meth:`merge`."""
+        return ReplicaBlock(
+            self._ids[slots], self._holders[slots], self._estimates[slots], self._updated[slots]
         )
-        self._journal_times = [time for time, _ in records]
-        self._journal_ids = [packet_id for _, packet_id in records]
 
-    def ensure_entry(self, packet: Packet) -> PacketMetadata:
-        entry = self._entries.get(packet.packet_id)
-        if entry is None:
-            entry = PacketMetadata(packet=packet, seq=self._next_seq)
-            self._next_seq += 1
-            self._entries[packet.packet_id] = entry
-        return entry
+    def estimate_matrix(self, packet_ids: np.ndarray, exclude_holder: int) -> np.ndarray:
+        """Estimates of the packets *packet_ids*, one row each, ``inf``-padded.
+
+        Row ``i`` lists the estimates of every holder of ``packet_ids[i]``
+        other than *exclude_holder*, in holder order; the width
+        is the largest such count.  An infinite delay is a zero delivery
+        rate, so the padding leaves a left fold over each row unchanged.
+        """
+        slots_of = self._slots_of
+        groups = [slots_of.get(packet_id, _NO_SLOTS).values() for packet_id in packet_ids.tolist()]
+        count = len(groups)
+        slots = np.fromiter(chain.from_iterable(groups), dtype=np.int64)
+        candidate = np.repeat(np.arange(count), [len(group) for group in groups])
+        keep = self._holders[slots] != exclude_holder
+        slots = slots[keep]
+        candidate = candidate[keep]
+        counts = np.bincount(candidate, minlength=count)
+        column = np.arange(len(candidate)) - (np.cumsum(counts) - counts)[candidate]
+        matrix = np.full((count, int(counts.max(initial=0))), np.inf)
+        matrix[candidate, column] = self._estimates[slots]
+        return matrix
+
+    # ------------------------------------------------------------------
+    # Scalar updates (packet creation, transfer, eviction, acks)
+    # ------------------------------------------------------------------
+    def _grow(self, count: int) -> None:
+        """Make room for *count* more slots: double the columns if needed.
+
+        New slots start freed and go under the free list, handed out in
+        order.
+        """
+        free = self._free
+        if len(free) >= count:
+            return
+        size = len(self._holders)
+        extra = max(size, count - len(free), 64)
+        for name, dtype, fill in _COLUMNS:
+            column = np.full(size + extra, fill, dtype)
+            column[:size] = getattr(self, "_" + name)
+            self._set_column(name, column)
+        free[:0] = range(size + extra - 1, size - 1, -1)
 
     def update_replica(
         self,
@@ -189,86 +198,133 @@ class MetadataStore:
         Returns True when the stored information meaningfully changed —
         i.e. the holder is new, or its delay estimate moved by more than
         *tolerance* (relative).  Older information never overwrites newer
-        information for the same holder.
+        information for the same holder; newer information always
+        overwrites the estimate and its timestamp, meaningful or not.
         """
-        entry = self.ensure_entry(packet)
-        existing = entry.replicas.get(holder_id)
-        if existing is not None and existing.updated_at > now:
-            return False
-        learned_at = now if learned_at is None else learned_at
-        meaningful = True
-        if existing is not None:
-            previous = existing.delay_estimate
+        packet_id = packet.packet_id
+        slots = self._slots_of.get(packet_id, _NO_SLOTS)
+        slot = slots.get(holder_id)
+        if slot is not None:
+            updated = self._updated_cells
+            if updated[slot] > now:
+                return False
+            updated[slot] = now
+            estimates = self._estimates_cells
+            previous = estimates[slot]
             if previous == delay_estimate:
-                meaningful = False
-            elif previous > 0 and previous != float("inf") and delay_estimate != float("inf"):
-                if abs(delay_estimate - previous) <= tolerance * previous:
-                    meaningful = False
-            # Update the record in place: this method runs millions of
-            # times per simulation and the fresh-dataclass allocation was
-            # measurable in the meeting hot path.
-            existing.delay_estimate = delay_estimate
-            existing.updated_at = now
-            if meaningful:
-                existing.changed_at = learned_at
+                return False
+            estimates[slot] = delay_estimate
+            if 0 < previous != _INF and abs(delay_estimate - previous) <= tolerance * previous:
+                return False
+            self._changed_cells[slot] = now if learned_at is None else learned_at
+            return True
+        if not self._free:
+            self._grow(1)
+        slot = self._free.pop()
+        if slots is _NO_SLOTS:
+            seq = self._seq_of[packet_id] = self._next_seq
+            self._next_seq = seq + 1
+            self._slots_of[packet_id] = {holder_id: slot}
         else:
-            entry.replicas[holder_id] = ReplicaInfo(
-                node_id=holder_id,
-                delay_estimate=delay_estimate,
-                updated_at=now,
-                changed_at=learned_at,
-            )
-        if not meaningful:
-            return False
-        if learned_at > entry.last_change:
-            entry.last_change = learned_at
-        self._journal_append(learned_at, packet.packet_id)
+            seq = self._seq_of[packet_id]
+            slots[holder_id] = slot
+        self._ids_cells[slot] = packet_id
+        self._holders_cells[slot] = holder_id
+        self._estimates_cells[slot] = delay_estimate
+        self._updated_cells[slot] = now
+        self._changed_cells[slot] = now if learned_at is None else learned_at
+        self._ranks_cells[slot] = seq * _ORDER_SPAN + self._next_order
+        self._next_order += 1
         return True
 
-    def remove_replica(self, packet_id: int, holder_id: int, now: float) -> None:
+    def remove_replica(self, packet_id: int, holder_id: int) -> None:
         """Forget that *holder_id* carries *packet_id* (e.g. it evicted it)."""
-        entry = self._entries.get(packet_id)
-        if entry is None:
-            return
-        if holder_id in entry.replicas:
-            del entry.replicas[holder_id]
-            if now > entry.last_change:
-                entry.last_change = now
-            self._journal_append(now, packet_id)
+        slot = self._slots_of.get(packet_id, _NO_SLOTS).pop(holder_id, None)
+        if slot is not None:
+            self._changed_cells[slot] = -_INF
+            self._free.append(slot)
 
     def remove_packet(self, packet_id: int) -> None:
-        """Forget a packet entirely (called when an ack is received).
+        """Forget a packet entirely (called when an ack is received)."""
+        if self._seq_of.pop(packet_id, None) is not None:
+            slots = self._slots_of.pop(packet_id).values()
+            changed = self._changed_cells
+            for slot in slots:
+                changed[slot] = -_INF
+            self._free.extend(slots)
 
-        Stale journal records for the packet are filtered out on the next
-        changed-since query (and dropped wholesale at the next compaction).
+    # ------------------------------------------------------------------
+    # Block merge (the control channel)
+    # ------------------------------------------------------------------
+    def merge(
+        self,
+        block: ReplicaBlock,
+        learned_at: float,
+        tolerance: float = constants.RAPID_ESTIMATE_TOLERANCE,
+    ) -> np.ndarray:
+        """Merge a peer's records, learned at *learned_at*, in one pass.
+
+        Equivalent to :meth:`update_replica` on each record in block order
+        (a block holds each (packet, holder) at most once, so the records
+        do not interact): new entries take ``seq`` and new holders take
+        ``order`` in block order.  Returns whether each record meaningfully
+        changed this store.
         """
-        self._entries.pop(packet_id, None)
-
-    def merge_entry(self, entry: PacketMetadata, now: float) -> bool:
-        """Merge a peer's entry for one packet; return True if anything changed."""
-        changed = False
-        for info in entry.replicas.values():
-            changed |= self.update_replica(
-                entry.packet,
-                info.node_id,
-                info.delay_estimate,
-                info.updated_at,
-                learned_at=now,
-            )
-        return changed
-
-    def merge_replica_record(
-        self, packet: Packet, info: ReplicaInfo, now: float
-    ) -> bool:
-        """Merge a single replica record received from a peer."""
-        return self.update_replica(
-            packet, info.node_id, info.delay_estimate, info.updated_at, learned_at=now
+        ids, holders, estimates, updated = block
+        entries = map(self._slots_of.get, ids.tolist(), repeat(_NO_SLOTS))
+        slots = np.fromiter(
+            map(dict.get, entries, holders.tolist(), repeat(-1)), dtype=np.int64, count=len(ids)
         )
+        fresh = np.flatnonzero(slots < 0)
+        if len(fresh):
+            self._allocate(fresh, slots, ids[fresh], holders[fresh])
+        newer = ~(self._updated[slots] > updated)
+        previous = self._estimates[slots]
+        with np.errstate(invalid="ignore"):
+            meaningful = newer & ~(
+                (previous == estimates)
+                | (
+                    (previous > 0)
+                    & (previous != _INF)
+                    & (np.abs(estimates - previous) <= tolerance * previous)
+                )
+            )
+        self._changed[slots[meaningful]] = learned_at
+        slots = slots[newer]
+        self._estimates[slots] = estimates[newer]
+        self._updated[slots] = updated[newer]
+        return meaningful
 
-    def merge_entries(self, entries: Iterable[PacketMetadata], now: float) -> int:
-        """Merge several entries; return the number that changed anything."""
-        changed = 0
-        for entry in entries:
-            if self.merge_entry(entry, now):
-                changed += 1
-        return changed
+    def _allocate(self, fresh, slots, ids, holders) -> None:
+        """Give the block's new records (at *fresh*) slots, in block order.
+
+        Slots come off the free list as :meth:`update_replica` takes them.
+        New entries take ``seq`` and new slots take ``order`` in block
+        order, and each new slot joins the end of its entry.  A new slot
+        starts older than any record and with no estimate, so :meth:`merge`
+        takes its record and calls it meaningful.
+        """
+        count = len(fresh)
+        self._grow(count)
+        free = self._free
+        fresh_slots = free[: -count - 1 : -1]
+        del free[-count:]
+        slots[fresh] = fresh_slots
+        fresh_ids = ids.tolist()
+        seq_of = self._seq_of
+        slots_of = self._slots_of
+        new_ids = [packet_id for packet_id in dict.fromkeys(fresh_ids) if packet_id not in seq_of]
+        if new_ids:
+            seq_of.update(zip(new_ids, range(self._next_seq, self._next_seq + len(new_ids))))
+            slots_of.update((packet_id, {}) for packet_id in new_ids)
+            self._next_seq += len(new_ids)
+        entries = map(slots_of.__getitem__, fresh_ids)
+        deque(map(dict.__setitem__, entries, holders.tolist(), fresh_slots), 0)
+        seqs = np.fromiter(map(seq_of.__getitem__, fresh_ids), dtype=np.int64, count=count)
+        orders = np.arange(self._next_order, self._next_order + count)
+        self._next_order += count
+        self._ranks[fresh_slots] = seqs * _ORDER_SPAN + orders
+        self._ids[fresh_slots] = ids
+        self._holders[fresh_slots] = holders
+        self._estimates[fresh_slots] = np.nan
+        self._updated[fresh_slots] = -_INF

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+import weakref
+from typing import Dict, Iterator, List, MutableMapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -112,7 +113,13 @@ class RapidProtocol(RoutingProtocol):
         #: Per-packet ``(eviction_score, destination)`` memo, alive only
         #: inside one ``make_room`` eviction cascade.
         self._eviction_scores: Optional[Dict[int, Tuple[float, int]]] = None
-        registry: Dict[int, "RapidProtocol"] = context.options.setdefault(_REGISTRY_KEY, {})
+        # Weak values: the registry sits in the context every instance
+        # holds, so strong values would make each simulation's protocols
+        # (and their metadata columns) a reference cycle that outlives the
+        # run until the cyclic collector happens to run.
+        registry: MutableMapping[int, "RapidProtocol"] = context.options.setdefault(
+            _REGISTRY_KEY, weakref.WeakValueDictionary()
+        )
         registry[self.node_id] = self
         self._registry = registry
         self._global_acks: Set[int] = context.options.setdefault(_GLOBAL_ACKS_KEY, set())
@@ -191,12 +198,7 @@ class RapidProtocol(RoutingProtocol):
         estimates: List[float] = []
         if packet.packet_id in self.buffer:
             estimates.append(self.own_delay_estimate(packet, now))
-        entry = self.metadata.get(packet.packet_id)
-        if entry is not None:
-            for holder_id, info in entry.replicas.items():
-                if holder_id == self.node_id:
-                    continue
-                estimates.append(info.delay_estimate)
+        estimates.extend(self.metadata.estimates(packet.packet_id, self.node_id))
         return estimates
 
     def expected_remaining_delay(self, packet: Packet, now: float) -> float:
@@ -319,7 +321,7 @@ class RapidProtocol(RoutingProtocol):
             self._audit_replication_rank(peer, now, candidates, scored)
             return scored
 
-        own_delays, peer_delays, sizes, creation_times = self._vectorized_direct_delays(
+        rows, own_delays, peer_delays, sizes, creation_times = self._vectorized_direct_delays(
             candidates, peer, now
         )
         if self._vector_rank:
@@ -328,7 +330,7 @@ class RapidProtocol(RoutingProtocol):
             # every candidate in a handful of numpy passes.  Each element
             # is bit-identical to the scalar rank (the golden tests hold
             # the fast path to the REPRO_SLOW_ESTIMATES=1 reference).
-            rate, degenerate = self._fold_replica_rates(candidates, own_delays)
+            rate, degenerate = self._fold_replica_rates(rows, own_delays)
             before = delay_module.combined_remaining_delay_array(rate, degenerate)
             rate_after, degenerate_after = delay_module.fold_extra_delay(
                 rate, degenerate, peer_delays
@@ -362,13 +364,7 @@ class RapidProtocol(RoutingProtocol):
 
         for index, packet in enumerate(candidates):
             delays_before: List[float] = [float(own_delays[index])]
-            entry = self.metadata.get(packet.packet_id)
-            if entry is not None:
-                delays_before.extend(
-                    info.delay_estimate
-                    for holder_id, info in entry.replicas.items()
-                    if holder_id != self.node_id
-                )
+            delays_before.extend(self.metadata.estimates(packet.packet_id, self.node_id))
             extra = float(peer_delays[index])
             rank = self._rank_key(packet, delays_before, extra, now, use_max_delay)
             scored.append((rank, index, packet))
@@ -426,13 +422,13 @@ class RapidProtocol(RoutingProtocol):
 
     def _vectorized_direct_delays(
         self, candidates: Sequence[Packet], peer: "RapidProtocol", now: float
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Own and would-be-peer direct-delivery delays for all candidates.
 
         Pulls the candidates' sizes, creation times and destinations as
         structure-of-arrays columns (one store-row lookup per packet), and
         evaluates both holders' ``d = E(M) * n`` in two array passes.
-        Returns ``(own_delays, peer_delays, sizes, creation_times)``.
+        Returns ``(rows, own_delays, peer_delays, sizes, creation_times)``.
         """
         store = self.buffer.store
         rows = store.rows_for(candidates)
@@ -445,40 +441,22 @@ class RapidProtocol(RoutingProtocol):
         peer_delays = self._direct_delays_for_holder(
             peer, candidates, destinations, sizes, now
         )
-        return own_delays, peer_delays, sizes, creation_times
+        return rows, own_delays, peer_delays, sizes, creation_times
 
     def _fold_replica_rates(
-        self, candidates: Sequence[Packet], own_delays: np.ndarray
+        self, rows: np.ndarray, own_delays: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fold ``[own, *metadata replicas]`` delivery rates per candidate.
+        """Fold ``[own, *metadata replicas]`` delivery rates per candidate row.
 
-        The ragged per-candidate replica lists (metadata entries, holder
-        dict order) are packed into an ``inf``-padded matrix — an infinite
-        delay contributes exactly ``0.0`` rate, so padding preserves the
-        scalar left-fold bit for bit.
+        The metadata columns give every candidate's other holders'
+        estimates in holder order as one ``inf``-padded matrix — an
+        infinite delay contributes exactly ``0.0`` rate, so padding
+        preserves the scalar left-fold bit for bit.
         """
-        node_id = self.node_id
-        metadata_get = self.metadata.get
-        others: List[List[float]] = []
-        width = 0
-        for packet in candidates:
-            entry = metadata_get(packet.packet_id)
-            if entry is None:
-                others.append([])
-                continue
-            delays = [
-                info.delay_estimate
-                for holder_id, info in entry.replicas.items()
-                if holder_id != node_id
-            ]
-            others.append(delays)
-            if len(delays) > width:
-                width = len(delays)
-        matrix = np.full((len(candidates), width), np.inf)
-        for index, delays in enumerate(others):
-            if delays:
-                matrix[index, : len(delays)] = delays
-        return delay_module.delivery_rate_fold(own_delays, matrix)
+        packet_ids = self.buffer.store.ids[rows]
+        return delay_module.delivery_rate_fold(
+            own_delays, self.metadata.estimate_matrix(packet_ids, self.node_id)
+        )
 
     def buffer_delay_estimates(self, now: float) -> np.ndarray:
         """Own direct-delivery delay estimates for every buffered packet.
@@ -582,7 +560,7 @@ class RapidProtocol(RoutingProtocol):
         bound for the same destination, so only those memo entries are
         invalidated.
         """
-        self.metadata.remove_replica(packet.packet_id, self.node_id, now)
+        self.metadata.remove_replica(packet.packet_id, self.node_id)
         scores = self._eviction_scores
         if scores is not None:
             scores.pop(packet.packet_id, None)
@@ -678,7 +656,7 @@ class RapidProtocol(RoutingProtocol):
         own_delays = self._direct_delays_for_holder(
             self, missing, destinations, sizes, now
         )
-        rate, degenerate = self._fold_replica_rates(missing, own_delays)
+        rate, degenerate = self._fold_replica_rates(rows, own_delays)
         remaining = delay_module.combined_remaining_delay_array(rate, degenerate)
         ages = np.maximum(0.0, now - creation_times)
         batch = self.metric.eviction_score_array(ages, remaining, now)
@@ -690,11 +668,7 @@ class RapidProtocol(RoutingProtocol):
     # ------------------------------------------------------------------
     def known_replica_count(self, packet_id: int) -> int:
         """Number of replicas this node believes exist for *packet_id*."""
-        entry = self.metadata.get(packet_id)
-        own = 1 if packet_id in self.buffer else 0
-        if entry is None:
-            return own
-        holders = set(entry.holders())
+        holders = set(self.metadata.holders(packet_id))
         if packet_id in self.buffer:
             holders.add(self.node_id)
         return len(holders)

@@ -24,7 +24,7 @@ row index valid for the lifetime of the simulation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -186,9 +186,3 @@ class PacketStore:
                     raise ValueError(f"deadline column drift at row {row}")
             elif deadline != packet.deadline:
                 raise ValueError(f"deadline column drift at row {row}")
-
-
-def shared_store(context_options: Dict[str, object]) -> Optional["PacketStore"]:
-    """Fetch the per-simulation shared store from a context options dict."""
-    store = context_options.get("packet_store")
-    return store if isinstance(store, PacketStore) else None

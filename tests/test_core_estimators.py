@@ -4,9 +4,10 @@ import math
 
 import pytest
 
+from metadata_oracle import columnar_entries, columnar_replica
 from repro import constants
 from repro.core.meeting_estimator import MeetingTimeEstimator
-from repro.core.metadata import MetadataStore, PacketMetadata, ReplicaInfo
+from repro.core.metadata import MetadataStore
 from repro.core.transfer_estimator import TransferSizeEstimator
 from repro.dtn.packet import Packet, PacketFactory
 
@@ -137,10 +138,9 @@ class TestMetadataStore:
         store = MetadataStore()
         packet = self._packet()
         assert store.update_replica(packet, holder_id=3, delay_estimate=100.0, now=10.0)
-        entry = store.get(packet.packet_id)
-        assert entry.replica_count() == 1
-        assert entry.holders() == [3]
-        assert entry.delay_estimates() == [100.0]
+        assert len(store.holders(packet.packet_id)) == 1
+        assert store.holders(packet.packet_id) == [3]
+        assert store.estimates(packet.packet_id) == [100.0]
         assert packet.packet_id in store
         assert len(store) == 1
 
@@ -150,7 +150,7 @@ class TestMetadataStore:
         store.update_replica(packet, 3, 100.0, now=10.0)
         assert not store.update_replica(packet, 3, 101.0, now=20.0, tolerance=0.25)
         # The stored value is still refreshed.
-        assert store.get(packet.packet_id).replicas[3].delay_estimate == 101.0
+        assert columnar_replica(store, packet.packet_id, 3)[0] == 101.0
 
     def test_large_drift_is_a_change(self):
         store = MetadataStore()
@@ -163,39 +163,40 @@ class TestMetadataStore:
         packet = self._packet()
         store.update_replica(packet, 3, 100.0, now=50.0)
         assert not store.update_replica(packet, 3, 999.0, now=10.0)
-        assert store.get(packet.packet_id).replicas[3].delay_estimate == 100.0
+        assert columnar_replica(store, packet.packet_id, 3)[0] == 100.0
 
     def test_entries_changed_since(self):
         store = MetadataStore()
         early, late = self._packet(1), self._packet(2)
         store.update_replica(early, 3, 100.0, now=10.0)
         store.update_replica(late, 4, 100.0, now=50.0)
-        changed = store.entries_changed_since(20.0)
-        assert [entry.packet_id for entry in changed] == [2]
+        changed = store.replica_block(store.entries_changed_since(20.0))
+        assert changed.packet_ids.tolist() == [2]
 
     def test_remove_replica_and_packet(self):
         store = MetadataStore()
         packet = self._packet()
         store.update_replica(packet, 3, 100.0, now=10.0)
         store.update_replica(packet, 4, 200.0, now=10.0)
-        store.remove_replica(packet.packet_id, 3, now=20.0)
-        assert store.get(packet.packet_id).holders() == [4]
+        store.remove_replica(packet.packet_id, 3)
+        assert store.holders(packet.packet_id) == [4]
         store.remove_packet(packet.packet_id)
-        assert store.get(packet.packet_id) is None
+        assert packet.packet_id not in store
 
     def test_merge_entry_learned_at(self):
         store = MetadataStore()
         packet = self._packet()
-        remote = PacketMetadata(packet=packet)
-        remote.replicas[7] = ReplicaInfo(node_id=7, delay_estimate=42.0, updated_at=5.0, changed_at=5.0)
-        assert store.merge_entry(remote, now=30.0)
-        info = store.get(packet.packet_id).replicas[7]
-        assert info.updated_at == 5.0
-        assert info.changed_at == 30.0  # local learning time drives re-flooding
+        remote = MetadataStore()
+        remote.update_replica(packet, 7, 42.0, now=5.0)
+        block = remote.replica_block(remote.entries_changed_since(-1.0))
+        assert store.merge(block, learned_at=30.0).tolist() == [True]
+        estimate, updated_at, changed_at = columnar_replica(store, packet.packet_id, 7)
+        assert updated_at == 5.0
+        assert changed_at == 30.0  # local learning time drives re-flooding
 
     def test_total_replica_entries(self):
         store = MetadataStore()
         store.update_replica(self._packet(1), 3, 1.0, now=1.0)
         store.update_replica(self._packet(1), 4, 1.0, now=1.0)
         store.update_replica(self._packet(2), 3, 1.0, now=1.0)
-        assert store.total_replica_entries() == 3
+        assert sum(len(records) for _, _, records in columnar_entries(store)) == 3

@@ -2,6 +2,8 @@
 
 import pytest
 
+from metadata_oracle import columnar_replica
+from repro import constants
 from repro.core.control import (
     GlobalControlChannel,
     InBandControlChannel,
@@ -213,6 +215,24 @@ class TestRapidExchange:
         x1.exchange_control(y1, now=10.0, budget=b1)
         x2.exchange_control(y2, now=10.0, budget=b2)
         assert 0 < b2.metadata_bytes < b1.metadata_bytes
+
+    def test_records_cut_by_the_budget_wait_until_they_change_again(self):
+        """The peer's exchange time advances past records the budget cut."""
+        x, y, _ = make_pair()
+        packet = PacketFactory().create(source=0, destination=9)
+        x.metadata.update_replica(packet, holder_id=5, delay_estimate=10.0, now=1.0)
+        x.metadata.update_replica(packet, holder_id=6, delay_estimate=20.0, now=1.0)
+        # Room for the (empty) meeting table and exactly one replica record.
+        room = constants.RAPID_TABLE_ENTRY_BYTES + constants.RAPID_METADATA_ENTRY_BYTES
+        x.exchange_control(y, now=10.0, budget=TransferBudget(capacity=room))
+        assert y.metadata.holders(packet.packet_id) == [5]
+        x.exchange_control(y, now=20.0, budget=TransferBudget(capacity=100_000))
+        assert y.metadata.holders(packet.packet_id) == [5]
+        # A meaningful change makes the cut record new again.
+        x.metadata.update_replica(packet, holder_id=6, delay_estimate=90.0, now=25.0)
+        x.exchange_control(y, now=30.0, budget=TransferBudget(capacity=100_000))
+        assert y.metadata.holders(packet.packet_id) == [5, 6]
+        assert columnar_replica(y.metadata, packet.packet_id, 6) == (90.0, 25.0, 30.0)
 
 
 class TestRapidSelection:

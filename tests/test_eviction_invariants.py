@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from metadata_oracle import columnar_entries
 from repro import constants, units
 from repro.core.rapid import RapidProtocol
 from repro.core import delay as delay_module
@@ -41,16 +42,17 @@ def assert_protocol_consistent(protocol: RoutingProtocol) -> None:
     protocol.buffer.check_integrity()
     if isinstance(protocol, RapidProtocol):
         for packet_id in buffered:
-            entry = protocol.metadata.get(packet_id)
-            assert entry is not None and protocol.node_id in entry.replicas, (
+            assert packet_id in protocol.metadata and protocol.node_id in (
+                protocol.metadata.holders(packet_id)
+            ), (
                 f"node {protocol.node_id}: buffered packet {packet_id} has no "
                 f"self replica record"
             )
-        for entry in protocol.metadata.entries():
-            if protocol.node_id in entry.replicas:
-                assert entry.packet_id in buffered, (
+        for packet_id, _, _ in columnar_entries(protocol.metadata):
+            if protocol.node_id in protocol.metadata.holders(packet_id):
+                assert packet_id in buffered, (
                     f"node {protocol.node_id}: metadata claims a self replica "
-                    f"of {entry.packet_id} that is not buffered"
+                    f"of {packet_id} that is not buffered"
                 )
 
 

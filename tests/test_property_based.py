@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metadata_oracle import columnar_entries
 from repro.analysis.fairness import jain_fairness_index
 from repro.core import delay as delay_module
 from repro.core.meeting_estimator import MeetingTimeEstimator
@@ -258,11 +259,11 @@ def _assert_bookkeeping_consistent(protocol) -> None:
     protocol.buffer.check_integrity()
     if isinstance(protocol, RapidProtocol):
         for packet_id in buffered:
-            entry = protocol.metadata.get(packet_id)
-            assert entry is not None and protocol.node_id in entry.replicas
-        for entry in protocol.metadata.entries():
-            if protocol.node_id in entry.replicas:
-                assert entry.packet_id in buffered
+            assert packet_id in protocol.metadata
+            assert protocol.node_id in protocol.metadata.holders(packet_id)
+        for packet_id, _, _ in columnar_entries(protocol.metadata):
+            if protocol.node_id in protocol.metadata.holders(packet_id):
+                assert packet_id in buffered
 
 
 @settings(max_examples=12, deadline=None)
