@@ -12,12 +12,19 @@ Matching rules:
 
 * Records pair by benchmark name (the ``bench`` key / ``BENCH_<name>``
   filename stem).
+* A candidate record identical to its baseline was not re-run (a
+  directory diff sees every committed record that no benchmark
+  overwrote), so it is **skipped**: comparing it would always pass.
 * Records measured in different modes (e.g. a committed ``full`` record
   vs a CI ``quick`` run) are **skipped**, not compared — their cells are
   different sizes, so wall times are incomparable.
 * The compared metric is the first of ``fast_wall_time_s`` /
   ``wall_time_s`` present in both records.  Records without a wall-time
   metric (or present on only one side) are reported and skipped.
+
+The last line of output names the compared and the skipped records.  The
+script exits 1 on a regression and 2 when it compared no record at all,
+so a diff whose every record was skipped cannot pass.
 
 Usage::
 
@@ -76,32 +83,44 @@ def wall_time(record: dict) -> Optional[Tuple[str, float]]:
 
 def compare(
     baseline: Dict[str, dict], candidate: Dict[str, dict], threshold: float
-) -> Tuple[List[str], List[str]]:
-    """Diff the two record sets; return (report lines, regression lines)."""
+) -> Tuple[List[str], List[str], List[str], List[str]]:
+    """Diff the two record sets.
+
+    Returns ``(report lines, regression lines, compared names, skipped
+    names)``.
+    """
     lines: List[str] = []
     regressions: List[str] = []
+    compared: List[str] = []
+    skipped: List[str] = []
+
+    def skip(name: str, reason: str) -> None:
+        skipped.append(name)
+        lines.append(f"  {name}: {reason} — skipped")
+
     for name in sorted(set(baseline) | set(candidate)):
         base = baseline.get(name)
         cand = candidate.get(name)
         if base is None or cand is None:
-            present = "candidate" if base is None else "baseline"
-            lines.append(f"  {name}: only present in {present} — skipped")
+            skip(name, f"only present in {'candidate' if base is None else 'baseline'}")
+            continue
+        if base == cand:
+            skip(name, "identical to baseline (not re-run)")
             continue
         if base.get("mode") != cand.get("mode"):
-            lines.append(
-                f"  {name}: mode mismatch ({base.get('mode')!r} vs {cand.get('mode')!r}) — skipped"
-            )
+            skip(name, f"mode mismatch ({base.get('mode')!r} vs {cand.get('mode')!r})")
             continue
         base_metric = wall_time(base)
         cand_metric = wall_time(cand)
         if base_metric is None or cand_metric is None:
-            lines.append(f"  {name}: no wall-time metric on both sides — skipped")
+            skip(name, "no wall-time metric on both sides")
             continue
         key, base_s = base_metric
         _, cand_s = cand_metric
         if base_s == 0:
-            lines.append(f"  {name}: baseline {key} is 0 — skipped")
+            skip(name, f"baseline {key} is 0")
             continue
+        compared.append(name)
         ratio = cand_s / base_s
         verdict = "ok"
         if ratio > 1.0 + threshold:
@@ -112,7 +131,7 @@ def compare(
         lines.append(
             f"  {name}: {key} {base_s:.3f}s -> {cand_s:.3f}s ({ratio:.2f}x) {verdict}"
         )
-    return lines, regressions
+    return lines, regressions, compared, skipped
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -140,17 +159,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 2
 
-    lines, regressions = compare(baseline, candidate, args.threshold)
+    lines, regressions, compared, skipped = compare(baseline, candidate, args.threshold)
     print(f"bench_compare: {len(baseline)} baseline vs {len(candidate)} candidate records")
     for line in lines:
         print(line)
+    status = 0
     if regressions:
         print(f"\n{len(regressions)} wall-time regression(s) above {args.threshold:.0%}:")
         for item in regressions:
             print(f"  {item}")
-        return 1
-    print("\nno wall-time regressions")
-    return 0
+        status = 1
+    elif compared:
+        print("\nno wall-time regressions")
+    else:
+        print("\nerror: no record was compared, so the diff checked nothing", file=sys.stderr)
+        status = 2
+    print(
+        f"summary: compared {len(compared)} ({', '.join(compared) or 'none'}); "
+        f"skipped {len(skipped)} ({', '.join(skipped) or 'none'})"
+    )
+    return status
 
 
 if __name__ == "__main__":

@@ -47,9 +47,10 @@ setup(
     install_requires=[
         "numpy>=1.23",
         "scipy>=1.9",
-        # repro.cli imports repro.experiments, whose optimal-comparison
-        # exhibits build time-expanded graphs with networkx — it is a
-        # hard runtime dependency of the console script, not a test one.
+        # The time-expanded graph builder (repro.optimal) and the
+        # hardness constructions build graphs with networkx, so it is a
+        # runtime dependency, not a test one.  Like scipy, it loads only
+        # when such code runs: importing repro or repro.cli loads neither.
         "networkx>=2.8",
     ],
     extras_require={

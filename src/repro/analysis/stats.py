@@ -5,6 +5,10 @@ and uses a paired t-test over per source-destination pair average delays
 to establish that RAPID's improvement over MaxProp is statistically
 significant (Section 6.2.1, p < 0.0005).  This module wraps the small
 amount of statistics needed so experiment code stays declarative.
+
+``scipy.stats`` is imported inside the two functions that use it: this
+module sits on the engine's import path, and only Figure 3 and Table 3
+need a t distribution.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 @dataclass
@@ -48,6 +51,8 @@ class ConfidenceInterval:
 
 def mean_confidence_interval(values: Sequence[float], confidence: float = 0.95) -> ConfidenceInterval:
     """Student-t confidence interval of the mean of *values*."""
+    from scipy import stats as scipy_stats
+
     data = np.asarray(list(values), dtype=float)
     if data.size == 0:
         raise ValueError("cannot compute a confidence interval of no data")
@@ -77,6 +82,8 @@ class PairedTestResult:
 
 def paired_delay_test(first: Sequence[float], second: Sequence[float]) -> PairedTestResult:
     """Paired t-test between two matched sequences of per-pair delays."""
+    from scipy import stats as scipy_stats
+
     a = np.asarray(list(first), dtype=float)
     b = np.asarray(list(second), dtype=float)
     if a.size != b.size:

@@ -1,28 +1,19 @@
 """Solving the offline optimal ILP.
 
 The paper uses CPLEX; this reproduction uses the open-source HiGHS solver
-shipped with SciPy (``scipy.optimize.milp``).  When ``milp`` is not
-available (SciPy < 1.9) the solver falls back to an LP relaxation followed
-by a dive-and-fix rounding pass, which is exact on most small instances
-and otherwise yields a feasible (hence upper-bound) schedule.
+shipped with SciPy (``scipy.optimize.milp``).  SciPy is imported on first
+solve, so importing :mod:`repro` does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
-from scipy import optimize, sparse
 
-from ..exceptions import InfeasibleProblemError, OptimizationError
+from ..exceptions import InfeasibleProblemError
 from .ilp import ILPProblem
-
-try:  # scipy >= 1.9
-    from scipy.optimize import milp as _scipy_milp  # noqa: F401
-    _HAVE_MILP = True
-except ImportError:  # pragma: no cover - depends on scipy version
-    _HAVE_MILP = False
 
 
 @dataclass
@@ -40,6 +31,8 @@ class ILPSolution:
 
 
 def _constraint_matrix(problem: ILPProblem):
+    from scipy import sparse
+
     constraints = problem.constraints
     num_rows = len(constraints)
     num_cols = problem.num_variables
@@ -56,7 +49,7 @@ def _constraint_matrix(problem: ILPProblem):
 
 
 def solve_ilp(problem: ILPProblem, time_limit: Optional[float] = None) -> ILPSolution:
-    """Solve the ILP exactly (HiGHS MILP) or via LP relaxation + rounding."""
+    """Solve the ILP exactly with HiGHS MILP."""
     if problem.num_variables == 0:
         return ILPSolution(
             objective_value=problem.objective_constant,
@@ -64,12 +57,8 @@ def solve_ilp(problem: ILPProblem, time_limit: Optional[float] = None) -> ILPSol
             is_integral=True,
             method="trivial",
         )
-    if _HAVE_MILP:
-        return _solve_with_milp(problem, time_limit)
-    return _solve_with_relaxation(problem)
+    from scipy import optimize
 
-
-def _solve_with_milp(problem: ILPProblem, time_limit: Optional[float]) -> ILPSolution:
     matrix, lower, upper = _constraint_matrix(problem)
     constraints = []
     if matrix is not None:
@@ -95,66 +84,4 @@ def _solve_with_milp(problem: ILPProblem, time_limit: Optional[float]) -> ILPSol
         variable_values=rounded,
         is_integral=True,
         method="milp",
-    )
-
-
-def _solve_lp(problem: ILPProblem, fixed: Dict[int, float]):
-    matrix, lower, upper = _constraint_matrix(problem)
-    num_vars = problem.num_variables
-    bounds = []
-    for index in range(num_vars):
-        if index in fixed:
-            bounds.append((fixed[index], fixed[index]))
-        else:
-            bounds.append((0.0, 1.0))
-    constraints_ub = []
-    b_ub = []
-    if matrix is not None:
-        dense = matrix.toarray()
-        for row, low, up in zip(dense, lower, upper):
-            if np.isfinite(up):
-                constraints_ub.append(row)
-                b_ub.append(up)
-            if np.isfinite(low) and low > -1e17:
-                constraints_ub.append(-row)
-                b_ub.append(-low)
-    a_ub = np.asarray(constraints_ub) if constraints_ub else None
-    b_ub_arr = np.asarray(b_ub) if b_ub else None
-    result = optimize.linprog(
-        c=problem.objective, A_ub=a_ub, b_ub=b_ub_arr, bounds=bounds, method="highs"
-    )
-    return result
-
-
-def _solve_with_relaxation(problem: ILPProblem) -> ILPSolution:
-    """LP relaxation followed by dive-and-fix rounding."""
-    fixed: Dict[int, float] = {}
-    result = _solve_lp(problem, fixed)
-    if not result.success:
-        raise InfeasibleProblemError(f"LP relaxation failed: {result.message}")
-    values = np.asarray(result.x)
-    for _ in range(problem.num_variables):
-        fractional = [
-            (abs(value - 0.5), index)
-            for index, value in enumerate(values)
-            if index not in fixed and 1e-6 < value < 1 - 1e-6
-        ]
-        if not fractional:
-            break
-        _, index = min(fractional)
-        for candidate in (1.0, 0.0):
-            fixed[index] = candidate
-            trial = _solve_lp(problem, fixed)
-            if trial.success:
-                values = np.asarray(trial.x)
-                break
-            fixed.pop(index, None)
-        else:  # pragma: no cover - degenerate fallback
-            fixed[index] = 0.0
-    rounded = np.round(values)
-    return ILPSolution(
-        objective_value=float(problem.objective @ rounded + problem.objective_constant),
-        variable_values=rounded,
-        is_integral=bool(np.all(np.isclose(rounded, values, atol=1e-6))),
-        method="lp-dive-and-fix",
     )

@@ -9,18 +9,20 @@ small loads of Figure 13), and it is cheap enough to run at any scale.
 
 A networkx time-expanded graph builder is also provided for path
 extraction and for users who want to run other graph algorithms on the
-same structure.
+same structure.  networkx is imported by the builder and the path lookup
+only, so the earliest-arrival sweep never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..dtn.packet import Packet
 from ..mobility.schedule import MeetingSchedule
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -86,6 +88,8 @@ class TimeExpandedGraph:
 
     def earliest_path(self, source: int, destination: int, start_time: float) -> Optional[List[Tuple[int, float]]]:
         """A time-respecting path from *source* to *destination*, if any."""
+        import networkx as nx
+
         candidates = [t for t in self.times if t >= start_time]
         if not candidates:
             return None
@@ -103,6 +107,8 @@ class TimeExpandedGraph:
 
 def build_time_expanded_graph(schedule: MeetingSchedule) -> TimeExpandedGraph:
     """Build the time-expanded graph of *schedule*."""
+    import networkx as nx
+
     times = sorted({meeting.time for meeting in schedule})
     graph = nx.DiGraph()
     for node in schedule.nodes:
