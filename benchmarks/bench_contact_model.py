@@ -1,13 +1,12 @@
 """Benchmark gate: the durational contact layer must not tax the hot path.
 
-The contact-layer refactor threads a pluggable contact model through the
-simulator.  The default ``instantaneous`` model must remain the PR-2 hot
-path: this gate runs the buffer-constrained RAPID cell of
-``bench_rapid_hotpath`` twice —
+Every contact model runs one contact pipeline in the simulator: an
+instantaneous meeting is a window-less session, opened, pumped and
+closed at one instant.  This gate runs the buffer-constrained RAPID cell
+of ``bench_rapid_hotpath`` twice on that same pipeline —
 
-1. the **default** path (no options; the simulator's zero-config meeting
-   loop, i.e. the PR-2 hot path as it stands), and
-2. an **explicit** ``contact_model="instantaneous"`` run,
+1. the **default** spelling (no options at all), and
+2. the **explicit** ``contact_model="instantaneous"`` spelling,
 
 asserts the two outputs are byte-identical and the explicit spelling is
 at most 10% slower (best-of-N wall time, so scheduler noise does not

@@ -18,8 +18,11 @@ How a contact's bytes are spread over time is selected by the
 
 * ``instantaneous`` (default) — the paper's Section 3.1 treatment: every
   byte of the opportunity is available at the contact's start instant.
-  This mode is byte-identical to the simulator as it existed before the
-  durational contact layer.
+  Each :class:`~repro.dtn.events.MeetingEvent` is a window-less
+  :class:`~repro.routing.base.LinkSession` that is opened, pumped and
+  closed at one instant; without a window the session is pure byte
+  accounting.  This mode is byte-identical to the simulator as it
+  existed before the durational contact layer.
 * ``durational`` — the contact is a window ``[start, end]`` bracketed by
   :class:`~repro.dtn.events.ContactStartEvent` /
   :class:`~repro.dtn.events.ContactEndEvent`.  Bytes stream across the
@@ -34,6 +37,14 @@ How a contact's bytes are spread over time is selected by the
   ``contact_resume`` set, partial progress carries over and the transfer
   resumes on the next contact of the same directed pair.
 
+Both models run one contact pipeline: the same prelude (fault checks,
+noise, endpoint check, counters) opens the session, then control
+exchange, direct delivery and replication in priority order spend its
+budget, and closing it does the byte accounting.  They differ only in
+timing: a windowed session stays open between its start and end events
+and can be interrupted, while a mid-transfer kill cuts a window-less
+session's byte budget instead of its window.
+
 A :class:`~repro.dtn.node.DeploymentNoise` option reproduces the
 imperfections of the real deployment (jittered capacities, missed
 meetings, processing delay) used to validate the simulator in Figure 3.
@@ -44,7 +55,8 @@ nodes that carry no traffic endpoints — *before* any capacity accounting.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from contextlib import nullcontext
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,16 +68,17 @@ from ..observability.metrics import MetricsRegistry, metrics_interval_from
 from ..observability.trace import TraceRecorder, TraceSink
 from ..profiling import Profiler, profiling_requested
 from ..routing.base import (
+    _EPS,
     LinkSession,
     ProtocolContext,
     ProtocolFactory,
     RoutingProtocol,
-    TransferBudget,
 )
 from .events import (
     ContactEndEvent,
     ContactStartEvent,
     EndOfSimulationEvent,
+    Event,
     MeetingEvent,
     NodeDownEvent,
     NodeUpEvent,
@@ -94,12 +107,9 @@ CONTACT_MODELS = (
 #: Default probability that an interruptible contact is cut short.
 DEFAULT_INTERRUPT_PROBABILITY = 0.25
 
-#: Tolerance for floating-point byte comparisons in the session pipeline.
-_EPS = 1e-9
-
 
 class _OpenContact:
-    """Live state of one open contact session (durational modes)."""
+    """Live state of one contact session and its two participants."""
 
     __slots__ = ("contact", "session", "x", "y")
 
@@ -183,7 +193,8 @@ class Simulator:
         self.nodes: Dict[int, Node] = {}
         self.protocols: Dict[int, RoutingProtocol] = {}
         self.result: Optional[SimulationResult] = None
-        #: Open contact sessions by contact id (durational modes only).
+        #: Open windowed sessions by contact id (durational modes only;
+        #: a window-less session closes at the instant it opens).
         self._open_contacts: Dict[int, _OpenContact] = {}
         #: Partial-transfer progress surviving across contacts when
         #: ``contact_resume`` is set: ``(sender, receiver, packet) -> bytes``.
@@ -196,6 +207,8 @@ class Simulator:
         self.profiler: Optional[Profiler] = (
             Profiler() if profiling_requested(self.options) else None
         )
+        if self.profiler is not None:
+            self._instrument(self.profiler)
         #: Lifecycle-event recorder; ``None`` (zero overhead) unless a
         #: ``trace_sink`` was passed in the options.  Events carry
         #: simulated time only, so the trace is a pure function of the
@@ -372,59 +385,24 @@ class Simulator:
         self.result = result
 
         queue = self._build_events()
+        handlers = self._handlers()
         profiler = self.profiler
-        # One boolean decides whether the loops pay the observability
+        # One boolean decides whether the loop pays the observability
         # tick; with tracing and metrics both off (the default) the only
         # added cost per event is this flag test.
         observe = self.tracer is not None or self.metrics is not None
-        if profiler is None:
+        with profiler.phase("total") if profiler is not None else nullcontext():
             while queue:
                 event = queue.pop()
                 if observe:
                     self._observe_tick(event.time)
-                if isinstance(event, PacketCreationEvent):
-                    self._handle_creation(event.packet, event.time)
-                elif isinstance(event, MeetingEvent):
-                    self._handle_meeting(event.meeting, event.time, event.contact_id)
-                elif isinstance(event, ContactStartEvent):
-                    self._handle_contact_start(event.contact, event.contact_id, event.time)
-                elif isinstance(event, ContactEndEvent):
-                    self._handle_contact_end(event.contact_id, event.time)
-                elif isinstance(event, NodeDownEvent):
-                    self._handle_node_down(event.node_id, event.wipe, event.time)
-                elif isinstance(event, NodeUpEvent):
-                    self._handle_node_up(event.node_id, event.time)
-                elif isinstance(event, EndOfSimulationEvent):
-                    break
-                else:  # pragma: no cover - defensive
-                    raise SimulationError(f"unknown event type: {type(event)!r}")
-        else:
-            with profiler.phase("total"):
-                while queue:
-                    event = queue.pop()
-                    if observe:
-                        self._observe_tick(event.time)
-                    if isinstance(event, PacketCreationEvent):
-                        with profiler.phase("packet_creation"):
-                            self._handle_creation(event.packet, event.time)
-                    elif isinstance(event, MeetingEvent):
-                        self._handle_meeting(event.meeting, event.time, event.contact_id)
-                    elif isinstance(event, ContactStartEvent):
-                        with profiler.phase("contact_session"):
-                            self._handle_contact_start(
-                                event.contact, event.contact_id, event.time
-                            )
-                    elif isinstance(event, ContactEndEvent):
-                        with profiler.phase("contact_session"):
-                            self._handle_contact_end(event.contact_id, event.time)
-                    elif isinstance(event, NodeDownEvent):
-                        self._handle_node_down(event.node_id, event.wipe, event.time)
-                    elif isinstance(event, NodeUpEvent):
-                        self._handle_node_up(event.node_id, event.time)
-                    elif isinstance(event, EndOfSimulationEvent):
+                handler = handlers.get(type(event))
+                if handler is None:
+                    if type(event) is EndOfSimulationEvent:
                         break
-                    else:  # pragma: no cover - defensive
-                        raise SimulationError(f"unknown event type: {type(event)!r}")
+                    raise SimulationError(f"unknown event type: {type(event)!r}")
+                handler(event)
+        if profiler is not None:
             result.timings = profiler.timings()
 
         # Defensive: close any session whose end event did not fire (all
@@ -450,6 +428,58 @@ class Simulator:
         for node_id, node in self.nodes.items():
             result.node_counters[node_id] = node.counters
         return result
+
+    def _handlers(self) -> Dict[type, Callable[[Event], None]]:
+        """The handler of each event type (the end of the run has none).
+
+        Handlers are looked up when the run starts, so a handler replaced
+        on the instance beforehand is the one dispatched to.  A profiled
+        run charges creations and windowed-session events to their
+        phases here; the contact steps are timed by :meth:`_instrument`.
+        """
+        creation = self._handle_creation
+        meeting = self._handle_meeting
+        contact_start = self._handle_contact_start
+        contact_end = self._handle_contact_end
+        node_down = self._handle_node_down
+        node_up = self._handle_node_up
+        handlers: Dict[type, Callable[[Event], None]] = {
+            PacketCreationEvent: lambda event: creation(event.packet, event.time),
+            MeetingEvent: lambda event: meeting(event.meeting, event.time, event.contact_id),
+            ContactStartEvent: lambda event: contact_start(
+                event.contact, event.contact_id, event.time
+            ),
+            ContactEndEvent: lambda event: contact_end(event.contact_id, event.time),
+            NodeDownEvent: lambda event: node_down(event.node_id, event.wipe, event.time),
+            NodeUpEvent: lambda event: node_up(event.node_id, event.time),
+        }
+        profiler = self.profiler
+        if profiler is not None:
+            for event_type, phase in (
+                (PacketCreationEvent, "packet_creation"),
+                (ContactStartEvent, "contact_session"),
+                (ContactEndEvent, "contact_session"),
+            ):
+                handlers[event_type] = profiler.timed(phase, handlers[event_type])
+        return handlers
+
+    def _instrument(self, profiler: Profiler) -> None:
+        """Time the contact steps and count candidates (profiled runs only).
+
+        The wrappers replace the steps on this instance once, at setup,
+        so an unprofiled run pays nothing for profiling.
+        """
+        self._exchange_control = profiler.timed("control_exchange", self._exchange_control)
+        self._deliver_direct = profiler.timed("direct_delivery", self._deliver_direct)
+        self._replicate_session = profiler.timed("replication", self._replicate_session)
+        candidates = self._candidates
+
+        def counted_candidates(sender, receiver, now):
+            for packet in candidates(sender, receiver, now):
+                profiler.count("candidates_pulled")
+                yield packet
+
+        self._candidates = counted_candidates
 
     # ------------------------------------------------------------------
     # Observability
@@ -656,157 +686,100 @@ class Simulator:
                     self._pump_contact(state, now)
 
     def _handle_meeting(self, meeting: Meeting, now: float, contact_id: int = -1) -> None:
-        result = self.result
-        fault_schedule = self._fault_schedule
-        control_lost = False
-        kill_fraction: Optional[float] = None
-        if fault_schedule is not None:
-            # Fault checks come before the noise draw: a contact that
-            # never happens (no-show, down endpoint) consumes no noise
-            # randomness — the fault process has its own stream.
-            if contact_id in fault_schedule.contact_no_shows:
-                result.contact_no_shows += 1
-                return
-            if self._down and (meeting.node_a in self._down or meeting.node_b in self._down):
-                result.contacts_missed_down += 1
-                result.deliveries_missed_down += self._count_missed_deliveries(
-                    meeting.node_a, meeting.node_b
-                ) + self._count_missed_deliveries(meeting.node_b, meeting.node_a)
-                return
-            kill_fraction = fault_schedule.transfer_kills.get(contact_id)
-            control_lost = contact_id in fault_schedule.control_losses
+        """Run an instantaneous meeting: a window-less session, open to close."""
+        state = self._open_session(meeting, contact_id, now, windowed=False)
+        if state is not None:
+            self._pump_contact(state, now)
+            self._close_contact(state, now)
 
-        missed, capacity, _ = self._apply_noise(meeting.capacity)
-        if missed:
-            result.meetings_missed += 1
-            return
-
-        if kill_fraction is not None:
-            # Mid-transfer kill in instantaneous mode: the whole meeting
-            # is one transfer instant, so dying at a fraction of the
-            # contact truncates the transferable bytes to that fraction.
-            if not math.isinf(capacity):
-                capacity *= kill_fraction
-            result.transfers_killed += 1
-
-        if meeting.node_a not in self.protocols or meeting.node_b not in self.protocols:
-            # Meetings of buses that carry no traffic endpoints are still
-            # part of the schedule; register capacity and move on.
-            self._register_capacity(capacity)
-            result.meetings_processed += 1
-            return
-
-        result.meetings_processed += 1
-        self._register_capacity(capacity)
-
-        x = self.protocols[meeting.node_a]
-        y = self.protocols[meeting.node_b]
-        x.node.counters.meetings += 1
-        y.node.counters.meetings += 1
-
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.contact_open(meeting.node_a, meeting.node_b, now, capacity)
-
-        x.on_meeting_start(y, now)
-        y.on_meeting_start(x, now)
-
-        budget = TransferBudget(capacity=capacity)
-
-        profiler = self.profiler
-        if profiler is None:
-            # Step 1: control exchange (acks + protocol metadata), both
-            # ways — suppressed entirely on a metadata-loss contact, so
-            # both peers keep routing on stale acks and delay state.
-            if not control_lost:
-                x.exchange_control(y, now, budget)
-                y.exchange_control(x, now, budget)
-
-            # Step 2: direct delivery, both ways.
-            self._direct_delivery(x, y, now, budget)
-            self._direct_delivery(y, x, now, budget)
-
-            # Step 3: replication, alternating directions.
-            self._replicate(x, y, now, budget)
-        else:
-            if not control_lost:
-                with profiler.phase("control_exchange"):
-                    x.exchange_control(y, now, budget)
-                    y.exchange_control(x, now, budget)
-            with profiler.phase("direct_delivery"):
-                self._direct_delivery(x, y, now, budget)
-                self._direct_delivery(y, x, now, budget)
-            with profiler.phase("replication"):
-                self._replicate(x, y, now, budget)
-        if control_lost:
-            result.control_exchanges_lost += 1
-
-        result.data_bytes += budget.data_bytes
-        result.metadata_bytes += budget.metadata_bytes
-        x.node.counters.metadata_bytes_sent += budget.metadata_bytes / 2.0
-        y.node.counters.metadata_bytes_sent += budget.metadata_bytes / 2.0
-
-        if tracer is not None:
-            tracer.contact_close(
-                meeting.node_a,
-                meeting.node_b,
-                now,
-                budget.data_bytes,
-                budget.metadata_bytes,
-                interrupted=kill_fraction is not None,
-            )
-
-    # ------------------------------------------------------------------
-    # Contact-session pipeline (durational modes)
-    # ------------------------------------------------------------------
     def _handle_contact_start(self, contact: Contact, contact_id: int, now: float) -> None:
-        """Open a contact session: faults, noise, interruption draw, control, pump."""
+        """Open a windowed session and pump it; its end event closes it."""
+        state = self._open_session(contact, contact_id, now, windowed=True)
+        if state is not None:
+            self._open_contacts[contact_id] = state
+            self._pump_contact(state, now)
+
+    def _handle_contact_end(self, contact_id: int, now: float) -> None:
+        state = self._open_contacts.pop(contact_id, None)
+        if state is None:
+            # Missed by noise, or never opened (no session to close).
+            return
+        self._close_contact(state, now)
+
+    # ------------------------------------------------------------------
+    # The contact pipeline: open -> exchange control -> pump -> close
+    # ------------------------------------------------------------------
+    def _open_session(
+        self, contact: Contact, contact_id: int, now: float, windowed: bool
+    ) -> Optional[_OpenContact]:
+        """The prelude of every contact, up to a session ready to pump.
+
+        Faults, noise, the endpoint check, counters and the control
+        exchange are shared by both contact models; only the effect of
+        timing differs.  A windowed session may be interrupted (the
+        interruptible model's draw) and a mid-transfer kill moves its
+        cutoff; a window-less session has no window, so a kill truncates
+        its byte budget instead.  Returns ``None`` when the contact never
+        happens or has no protocol endpoints.
+        """
         result = self.result
         fault_schedule = self._fault_schedule
         control_lost = False
         kill_fraction: Optional[float] = None
         if fault_schedule is not None:
             # Fault checks precede the noise and interruption draws: a
-            # contact that never opens consumes no randomness from the
-            # other streams (the fault process is precomputed).
+            # contact that never happens (no-show, down endpoint) consumes
+            # no randomness from the other streams (the fault process is
+            # precomputed).
             if contact_id in fault_schedule.contact_no_shows:
                 result.contact_no_shows += 1
-                return
+                return None
             if self._down and (contact.node_a in self._down or contact.node_b in self._down):
                 result.contacts_missed_down += 1
                 result.deliveries_missed_down += self._count_missed_deliveries(
                     contact.node_a, contact.node_b
                 ) + self._count_missed_deliveries(contact.node_b, contact.node_a)
-                return
+                return None
             kill_fraction = fault_schedule.transfer_kills.get(contact_id)
             control_lost = contact_id in fault_schedule.control_losses
 
         missed, capacity, scale = self._apply_noise(contact.capacity)
         if missed:
             result.meetings_missed += 1
-            return
+            return None
 
-        # Interruption draw (interruptible model): the contact dies at a
-        # uniform fraction of its window with the configured probability.
-        cutoff = contact.end
+        cutoff = float("inf")
         interrupted = False
-        if (
-            self.contact_model == CONTACT_MODEL_INTERRUPTIBLE
-            and self.interrupt_probability > 0.0
-            and contact.duration > 0.0
-            and float(self._contact_rng.random()) < self.interrupt_probability
-        ):
-            fraction = float(self._contact_rng.uniform(0.05, 0.95))
-            cutoff = contact.start + contact.duration * fraction
-            interrupted = True
-
-        if kill_fraction is not None and contact.duration > 0.0:
-            # Mid-transfer kill (fault process): the session dies at the
-            # drawn fraction of the window — possibly earlier than the
-            # interruptible model's own draw; the earlier cutoff binds.
-            kill_cutoff = contact.start + contact.duration * kill_fraction
-            if kill_cutoff < cutoff:
-                cutoff = kill_cutoff
+        if windowed:
+            cutoff = contact.end
+            # Interruption draw (interruptible model): the contact dies at
+            # a uniform fraction of its window with the configured
+            # probability.
+            if (
+                self.contact_model == CONTACT_MODEL_INTERRUPTIBLE
+                and self.interrupt_probability > 0.0
+                and contact.duration > 0.0
+                and float(self._contact_rng.random()) < self.interrupt_probability
+            ):
+                fraction = float(self._contact_rng.uniform(0.05, 0.95))
+                cutoff = contact.start + contact.duration * fraction
+                interrupted = True
+            if kill_fraction is not None and contact.duration > 0.0:
+                # Mid-transfer kill (fault process): the session dies at
+                # the drawn fraction of the window — possibly earlier than
+                # the interruptible model's own draw; the earlier cutoff
+                # binds.
+                kill_cutoff = contact.start + contact.duration * kill_fraction
+                if kill_cutoff < cutoff:
+                    cutoff = kill_cutoff
+                interrupted = True
+                result.transfers_killed += 1
+        elif kill_fraction is not None:
+            # Mid-transfer kill on a window-less session: the whole
+            # contact is one transfer instant, so dying at a fraction of
+            # it truncates the transferable bytes to that fraction.
+            if not math.isinf(capacity):
+                capacity *= kill_fraction
             interrupted = True
             result.transfers_killed += 1
 
@@ -816,7 +789,7 @@ class Simulator:
         # the bytes streamable before the cutoff are registered (the same
         # denominator-honesty rule that excludes infinite capacities).
         achievable = capacity
-        if interrupted and not math.isinf(capacity):
+        if windowed and interrupted and not math.isinf(capacity):
             achievable = min(
                 capacity,
                 scale * contact.profile.bytes_within(contact, cutoff - contact.start),
@@ -824,7 +797,9 @@ class Simulator:
         self._register_capacity(achievable)
 
         if contact.node_a not in self.protocols or contact.node_b not in self.protocols:
-            return
+            # Contacts of buses that carry no traffic endpoints are still
+            # part of the schedule: capacity registered, nothing to run.
+            return None
 
         x = self.protocols[contact.node_a]
         y = self.protocols[contact.node_b]
@@ -837,45 +812,44 @@ class Simulator:
 
         session = LinkSession(
             capacity=capacity,
-            contact=contact,
+            contact=contact if windowed else None,
             opened_at=now,
             cutoff=cutoff,
             capacity_scale=scale,
             stream_clock=now,
             interrupted=interrupted,
         )
+        x.on_meeting_start(y, now)
+        y.on_meeting_start(x, now)
 
-        x.on_session_open(y, session, now)
-        y.on_session_open(x, session, now)
-
+        state = _OpenContact(contact, session, x, y)
         if control_lost:
             # Metadata-loss fault: the control exchange never happens, so
             # acks and delay metadata stay stale on both sides.
             result.control_exchanges_lost += 1
         else:
-            x.exchange_control(y, now, session)
-            y.exchange_control(x, now, session)
+            self._exchange_control(state, now)
+        return state
 
-        state = _OpenContact(contact, session, x, y)
-        self._open_contacts[contact_id] = state
-        self._pump_contact(state, now)
-
-    def _handle_contact_end(self, contact_id: int, now: float) -> None:
-        state = self._open_contacts.pop(contact_id, None)
-        if state is None:
-            # Missed by noise, or never opened (no session to close).
-            return
-        self._close_contact(state, now)
+    def _exchange_control(self, state: _OpenContact, now: float) -> None:
+        """Control exchange (acks and protocol metadata), both ways."""
+        state.x.exchange_control(state.y, now, state.session)
+        state.y.exchange_control(state.x, now, state.session)
 
     def _close_contact(self, state: _OpenContact, now: float) -> None:
-        """Finalize a session: byte accounting, interruption tally, hooks."""
+        """Finalize a session: byte accounting, interruption tally, trace.
+
+        ``contacts_interrupted`` counts windows cut short; a killed
+        window-less session has no window, so its kill shows only in the
+        trace (and in ``transfers_killed``).
+        """
         result = self.result
         session = state.session
         result.data_bytes += session.data_bytes
         result.metadata_bytes += session.metadata_bytes
         state.x.node.counters.metadata_bytes_sent += session.metadata_bytes / 2.0
         state.y.node.counters.metadata_bytes_sent += session.metadata_bytes / 2.0
-        if session.interrupted:
+        if session.interrupted and session.contact is not None:
             result.contacts_interrupted += 1
         tracer = self.tracer
         if tracer is not None:
@@ -887,23 +861,18 @@ class Simulator:
                 session.metadata_bytes,
                 interrupted=session.interrupted,
             )
-        state.x.on_session_close(state.y, session, now)
-        state.y.on_session_close(state.x, session, now)
 
     def _pump_contact(self, state: _OpenContact, now: float) -> None:
-        """Run the data phases of an open session at event time *now*.
+        """Run the data phases of a session at event time *now*.
 
-        Called once when the session opens and again for every packet
-        created at a participant while the window is open.  The session's
-        stream clock serialises the transfers, so repeated pumping never
-        double-spends window time.
+        Called once when the session opens and, for a windowed session,
+        again for every packet created at a participant while the window
+        is open.  The session's stream clock serialises the transfers, so
+        repeated pumping never double-spends window time.
         """
-        session = state.session
-        if session.transfer_cut:
+        if state.session.transfer_cut:
             return
-        x, y = state.x, state.y
-        self._direct_delivery_session(state, x, y, now)
-        self._direct_delivery_session(state, y, x, now)
+        self._deliver_direct(state, now)
         self._replicate_session(state, now)
 
     # ------------------------------------------------------------------
@@ -917,49 +886,69 @@ class Simulator:
     def _remaining_size(
         self, sender: RoutingProtocol, receiver: RoutingProtocol, packet: Packet
     ) -> float:
-        """Bytes still to send, net of resumable partial progress."""
+        """Bytes still to send, net of resumable partial progress.
+
+        Callers test ``_partial_progress`` first and use the packet size
+        when it is empty, which it always is unless resume is on.
+        """
         done = self._partial_progress.get(self._progress_key(sender, receiver, packet), 0.0)
         return max(0.0, float(packet.size) - done)
-
-    def _finish_transfer(
-        self, sender: RoutingProtocol, receiver: RoutingProtocol, packet: Packet
-    ) -> bool:
-        """Clear resumable progress; return True when progress existed."""
-        return self._partial_progress.pop(self._progress_key(sender, receiver, packet), None) is not None
 
     def _note_resumed(
         self, sender: RoutingProtocol, receiver: RoutingProtocol, packet: Packet, now: float
     ) -> None:
-        """Account (and trace) a transfer completed from resumed progress."""
-        if self._finish_transfer(sender, receiver, packet):
+        """Account (and trace) a transfer completed from resumed progress.
+
+        Callers skip it while ``_partial_progress`` is empty.
+        """
+        key = self._progress_key(sender, receiver, packet)
+        if self._partial_progress.pop(key, None) is not None:
             self.result.transfers_resumed += 1
             tracer = self.tracer
             if tracer is not None:
                 tracer.transfer_resume(packet, sender.node_id, receiver.node_id, now)
 
+    def _transmit(
+        self,
+        session: LinkSession,
+        sender: RoutingProtocol,
+        receiver: RoutingProtocol,
+        packet: Packet,
+        num_bytes: float,
+        now: float,
+    ) -> Tuple[float, float, bool]:
+        """Stream one transfer on *session*, tracing its start if windowed.
+
+        A window-less session moves its bytes at one instant, so it has no
+        transfer to trace apart from the delivery or replica it commits.
+        """
+        tracer = self.tracer
+        if tracer is not None and session.contact is not None:
+            tracer.transfer_start(packet, sender.node_id, receiver.node_id, now, num_bytes)
+        return session.transmit(num_bytes, now)
+
     def _interrupt_transfer(
         self,
-        state: _OpenContact,
+        session: LinkSession,
         sender: RoutingProtocol,
         receiver: RoutingProtocol,
         packet: Packet,
         remaining_size: float,
         now: float,
     ) -> None:
-        """Cut a transfer mid-flight: charge partial bytes, roll back.
+        """A transfer that cannot finish in time: start it, then cut it.
 
-        The partial bytes crossed the link but carry no committed replica.
-        With resume enabled the progress is remembered for the next
-        contact of the same directed pair; otherwise the bytes are wasted
-        capacity (the rollback of the aborted transfer).
+        It starts only when the byte budget would allow it and some window
+        time is left; a window-less session never has budget to spare
+        here, so it never interrupts.  The partial bytes crossed the link
+        but carry no committed replica.  With resume enabled the progress
+        is remembered for the next contact of the same directed pair;
+        otherwise the bytes are wasted capacity (the rollback of the
+        aborted transfer).
         """
-        session = state.session
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.transfer_start(
-                packet, sender.node_id, receiver.node_id, now, remaining_size
-            )
-        sent, _, _ = session.transmit(remaining_size, now)
+        if not session.can_send(remaining_size) or session.sendable_bytes(now) <= _EPS:
+            return
+        sent, _, _ = self._transmit(session, sender, receiver, packet, remaining_size, now)
         result = self.result
         result.transfers_interrupted += 1
         if self.contact_resume and sent > 0:
@@ -967,45 +956,57 @@ class Simulator:
             self._partial_progress[key] = self._partial_progress.get(key, 0.0) + sent
         else:
             result.partial_bytes_wasted += sent
+        tracer = self.tracer
         if tracer is not None:
             tracer.transfer_interrupt(packet, sender.node_id, receiver.node_id, now, sent)
-        sender.on_transfer_interrupted(packet, receiver, now, sent)
+
+    def _deliver(
+        self,
+        session: LinkSession,
+        sender: RoutingProtocol,
+        receiver: RoutingProtocol,
+        packet: Packet,
+        remaining_size: float,
+        now: float,
+    ) -> None:
+        """Stream *packet* to its destination and record the delivery."""
+        _, finish, _ = self._transmit(session, sender, receiver, packet, remaining_size, now)
+        if self._partial_progress:
+            self._note_resumed(sender, receiver, packet, finish)
+        self._record_delivery(packet, sender, receiver, finish)
 
     # ------------------------------------------------------------------
     # Session data phases
     # ------------------------------------------------------------------
-    def _direct_delivery_session(
-        self, state: _OpenContact, sender: RoutingProtocol, receiver: RoutingProtocol, now: float
-    ) -> None:
+    def _deliver_direct(self, state: _OpenContact, now: float) -> None:
+        """Direct delivery, both ways: each side's packets for its peer."""
         session = state.session
-        for packet in sender.direct_delivery_order(receiver.node_id, now):
-            if packet.packet_id not in sender.buffer:
-                continue
-            remaining_size = self._remaining_size(sender, receiver, packet)
-            if not session.can_complete(remaining_size, now):
-                if session.can_send(remaining_size) and session.sendable_bytes(now) > _EPS:
-                    # The byte budget would allow it but the window does
-                    # not: the transfer starts and is cut at the cutoff.
-                    self._interrupt_transfer(
-                        state, sender, receiver, packet, remaining_size, now
-                    )
-                break
-            tracer = self.tracer
-            if tracer is not None:
-                tracer.transfer_start(
-                    packet, sender.node_id, receiver.node_id, now, remaining_size
+        progress = self._partial_progress
+        for sender, receiver in ((state.x, state.y), (state.y, state.x)):
+            for packet in sender.direct_delivery_order(receiver.node_id, now):
+                if packet.packet_id not in sender.buffer:
+                    continue
+                remaining_size = (
+                    self._remaining_size(sender, receiver, packet)
+                    if progress
+                    else float(packet.size)
                 )
-            sent, finish, _ = session.transmit(remaining_size, now)
-            self._note_resumed(sender, receiver, packet, finish)
-            self._record_delivery(packet, sender, receiver, finish)
+                if not session.can_complete(remaining_size, now):
+                    self._interrupt_transfer(
+                        session, sender, receiver, packet, remaining_size, now
+                    )
+                    break
+                self._deliver(session, sender, receiver, packet, remaining_size, now)
+
+    def _candidates(self, sender: RoutingProtocol, receiver: RoutingProtocol, now: float):
+        """*sender*'s replication candidates for *receiver*, best first."""
+        return sender.replication_candidates(receiver, now)
 
     def _replicate_session(self, state: _OpenContact, now: float) -> None:
+        """Replication, alternating directions until both sides stop."""
         x, y = state.x, state.y
         directions: List[Tuple[RoutingProtocol, RoutingProtocol]] = [(x, y), (y, x)]
-        generators = [
-            x.replication_candidates(y, now),
-            y.replication_candidates(x, now),
-        ]
+        generators = [self._candidates(x, y, now), self._candidates(y, x, now)]
         active = [True, True]
         turn = 0
         idle_turns = 0
@@ -1031,71 +1032,35 @@ class Simulator:
         active: List[bool],
         turn: int,
     ) -> bool:
-        """Pull candidates until one replica streams fully; return success."""
+        """Pull candidates until one transfer completes; return success."""
         session = state.session
-        profiler = self.profiler
+        progress = self._partial_progress
         for packet in generator:
-            if profiler is not None:
-                profiler.count("candidates_pulled")
             if packet.packet_id not in sender.buffer:
                 continue
             if packet.packet_id in receiver.buffer:
                 continue
-            remaining_size = self._remaining_size(sender, receiver, packet)
-            fits_budget = session.can_send(remaining_size)
-            fits_window = session.can_complete(remaining_size, now)
+            remaining_size = (
+                self._remaining_size(sender, receiver, packet) if progress else float(packet.size)
+            )
+            if not session.can_complete(remaining_size, now):
+                # Budget or window exhausted: this direction is done.
+                self._interrupt_transfer(session, sender, receiver, packet, remaining_size, now)
+                active[turn] = False
+                return False
             if packet.destination == receiver.node_id:
                 # Destined to the peer: deliver it now rather than replicate.
-                if fits_window:
-                    tracer = self.tracer
-                    if tracer is not None:
-                        tracer.transfer_start(
-                            packet, sender.node_id, receiver.node_id, now, remaining_size
-                        )
-                    sent, finish, _ = session.transmit(remaining_size, now)
-                    self._note_resumed(sender, receiver, packet, finish)
-                    self._record_delivery(packet, sender, receiver, finish)
-                    return True
-                if fits_budget and session.sendable_bytes(now) > _EPS:
-                    self._interrupt_transfer(
-                        state, sender, receiver, packet, remaining_size, now
-                    )
-                active[turn] = False
-                return False
-            if not fits_window:
-                if fits_budget and session.sendable_bytes(now) > _EPS:
-                    self._interrupt_transfer(
-                        state, sender, receiver, packet, remaining_size, now
-                    )
-                active[turn] = False
-                return False
+                self._deliver(session, sender, receiver, packet, remaining_size, now)
+                return True
             if receiver.accept_replica(packet, sender, now):
-                tracer = self.tracer
-                if tracer is not None:
-                    tracer.transfer_start(
-                        packet, sender.node_id, receiver.node_id, now, remaining_size
-                    )
-                session.transmit(remaining_size, now)
-                self._note_resumed(sender, receiver, packet, now)
+                self._transmit(session, sender, receiver, packet, remaining_size, now)
+                if progress:
+                    self._note_resumed(sender, receiver, packet, now)
                 self._register_replication(packet, sender, receiver, now)
                 return True
             # Storage refusal: try the next candidate.
         active[turn] = False
         return False
-
-    # ------------------------------------------------------------------
-    # Meeting phases (instantaneous model)
-    # ------------------------------------------------------------------
-    def _direct_delivery(
-        self, sender: RoutingProtocol, receiver: RoutingProtocol, now: float, budget: TransferBudget
-    ) -> None:
-        for packet in sender.direct_delivery_order(receiver.node_id, now):
-            if packet.packet_id not in sender.buffer:
-                continue
-            if not budget.can_send(packet.size):
-                break
-            budget.charge_data(packet.size)
-            self._record_delivery(packet, sender, receiver, now)
 
     def _record_delivery(
         self,
@@ -1132,66 +1097,6 @@ class Simulator:
         # Both participants learn of the delivery immediately.
         sender.on_delivery(packet, now)
         receiver.on_delivery(packet, now)
-
-    def _replicate(
-        self, x: RoutingProtocol, y: RoutingProtocol, now: float, budget: TransferBudget
-    ) -> None:
-        directions: List[Tuple[RoutingProtocol, RoutingProtocol]] = [(x, y), (y, x)]
-        generators = [
-            x.replication_candidates(y, now),
-            y.replication_candidates(x, now),
-        ]
-        active = [True, True]
-        turn = 0
-        idle_turns = 0
-        while any(active) and idle_turns < 2:
-            if not active[turn]:
-                turn = 1 - turn
-                idle_turns += 1
-                continue
-            sender, receiver = directions[turn]
-            sent = self._send_one(sender, receiver, generators[turn], now, budget, active, turn)
-            idle_turns = 0 if sent else idle_turns + 1
-            turn = 1 - turn
-
-    def _send_one(
-        self,
-        sender: RoutingProtocol,
-        receiver: RoutingProtocol,
-        generator,
-        now: float,
-        budget: TransferBudget,
-        active: List[bool],
-        turn: int,
-    ) -> bool:
-        """Pull candidates until one replica is transferred; return success."""
-        profiler = self.profiler
-        for packet in generator:
-            if profiler is not None:
-                profiler.count("candidates_pulled")
-            if packet.packet_id not in sender.buffer:
-                continue
-            if packet.packet_id in receiver.buffer:
-                continue
-            if packet.destination == receiver.node_id:
-                # Destined to the peer: handled by direct delivery if the
-                # budget allows; try to deliver it now rather than replicate.
-                if budget.can_send(packet.size):
-                    budget.charge_data(packet.size)
-                    self._record_delivery(packet, sender, receiver, now)
-                    return True
-                active[turn] = False
-                return False
-            if not budget.can_send(packet.size):
-                active[turn] = False
-                return False
-            if receiver.accept_replica(packet, sender, now):
-                budget.charge_data(packet.size)
-                self._register_replication(packet, sender, receiver, now)
-                return True
-            # Storage refusal: try the next candidate.
-        active[turn] = False
-        return False
 
     def _register_replication(
         self, packet: Packet, sender: RoutingProtocol, receiver: RoutingProtocol, now: float

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 from time import perf_counter
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 __all__ = [
     "ENV_PROFILE",
@@ -100,6 +100,23 @@ class Profiler:
         phase name correct (each holds its own start timestamp).
         """
         return _Phase(self, name)
+
+    def timed(self, name: str, fn: Callable) -> Callable:
+        """*fn* wrapped so that every call is charged to phase *name*.
+
+        Lets a caller instrument its steps once, at setup, instead of
+        testing for a profiler on every call.
+        """
+        add_time = self.add_time
+
+        def timed_call(*args):
+            started = perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                add_time(name, perf_counter() - started)
+
+        return timed_call
 
     def add_time(self, name: str, seconds: float) -> None:
         self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds

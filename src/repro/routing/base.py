@@ -42,7 +42,8 @@ def _default_packet_store() -> "PacketStore":
 
     return PacketStore()
 
-#: Tolerance for floating-point byte/time comparisons in link sessions.
+#: Tolerance for floating-point byte/time comparisons in link sessions
+#: and the simulator's contact pipeline.
 _EPS = 1e-9
 
 
@@ -67,7 +68,7 @@ class TransferBudget:
     @property
     def remaining(self) -> float:
         """Bytes of the opportunity still available."""
-        return max(0.0, self.capacity - self.used)
+        return max(0.0, self.capacity - (self.data_bytes + self.metadata_bytes))
 
     def can_send(self, num_bytes: float) -> bool:
         """Return True when *num_bytes* more bytes fit in the opportunity."""
@@ -85,7 +86,7 @@ class TransferBudget:
 
     def charge_data(self, num_bytes: float) -> None:
         """Consume *num_bytes* of the opportunity for a data transfer."""
-        if num_bytes > self.remaining + 1e-9:
+        if num_bytes > self.remaining + _EPS:
             raise ValueError("data transfer exceeds the remaining opportunity")
         self.data_bytes += num_bytes
 
@@ -102,7 +103,7 @@ class TransferBudget:
 
 @dataclass
 class LinkSession(TransferBudget):
-    """Byte *and time* accounting for one durational contact session.
+    """Byte *and time* accounting for one contact session.
 
     The generalisation of :class:`TransferBudget` used by the simulator's
     contact pipeline: besides the byte budget it meters transfers against
@@ -120,7 +121,8 @@ class LinkSession(TransferBudget):
     (``remaining``, ``charge_metadata``); the session transparently makes
     metadata consume stream time too.  A session without a contact (or a
     zero-duration contact) degenerates to pure byte accounting, i.e.
-    classic :class:`TransferBudget` behaviour.
+    classic :class:`TransferBudget` behaviour: the simulator runs every
+    instantaneous meeting as such a window-less session.
     """
 
     contact: Optional["Contact"] = None
@@ -132,29 +134,26 @@ class LinkSession(TransferBudget):
     capacity_scale: float = 1.0
     #: When the shared serial stream is next free (transfers queue on it).
     stream_clock: float = 0.0
-    #: The contact was cut short of its scheduled window.
+    #: The contact was cut short: its window by an interruption or a
+    #: kill, or (window-less) its byte budget by a kill.
     interrupted: bool = False
     #: A transfer was cut mid-flight by the cutoff.
     transfer_cut: bool = False
 
     def __post_init__(self) -> None:
         self.stream_clock = max(self.stream_clock, self.opened_at)
-
-    # ------------------------------------------------------------------
-    # Profile plumbing
-    # ------------------------------------------------------------------
-    def _timed(self) -> bool:
-        """Whether this session meters time at all (window with extent).
-
-        Zero-duration windows and unbounded capacities degenerate to pure
-        byte accounting — there is no finite rate to stream against.
-        """
-        return (
+        #: Whether this session meters time at all (window with extent).
+        #: Zero-duration windows and unbounded capacities degenerate to
+        #: pure byte accounting — there is no finite rate to stream against.
+        self._timed = (
             self.contact is not None
             and self.contact.duration > 0.0
             and not math.isinf(self.contact.capacity)
         )
 
+    # ------------------------------------------------------------------
+    # Profile plumbing
+    # ------------------------------------------------------------------
     def _cumulative_bytes(self, at_time: float) -> float:
         """Bytes the link can have carried from the window start to *at_time*."""
         contact = self.contact
@@ -176,15 +175,11 @@ class LinkSession(TransferBudget):
         """Bytes that can still stream to completion starting at *now*."""
         if self.transfer_cut:
             return 0.0
-        if not self._timed():
+        if not self._timed:
             return self.remaining
         begin = max(now, self.stream_clock)
         window_bytes = self._cumulative_bytes(self.cutoff) - self._cumulative_bytes(begin)
         return min(self.remaining, max(0.0, window_bytes))
-
-    def can_send(self, num_bytes: float) -> bool:
-        """Byte-budget check only (the classic TransferBudget contract)."""
-        return super().can_send(num_bytes)
 
     def can_complete(self, num_bytes: float, now: float) -> bool:
         """Would a *num_bytes* transfer started at *now* finish in time?"""
@@ -201,7 +196,7 @@ class LinkSession(TransferBudget):
         link, they just carried no committed replica.
         """
         begin = max(now, self.stream_clock)
-        if not self._timed():
+        if not self._timed:
             self.charge_data(num_bytes)
             self.stream_clock = begin
             return num_bytes, begin, True
@@ -221,7 +216,7 @@ class LinkSession(TransferBudget):
 
     def metadata_capacity(self) -> float:
         """Metadata bytes that both the byte budget and the window allow."""
-        if not self._timed():
+        if not self._timed:
             return self.remaining
         begin = max(self.stream_clock, self.opened_at)
         window_bytes = self._cumulative_bytes(self.cutoff) - self._cumulative_bytes(begin)
@@ -229,7 +224,7 @@ class LinkSession(TransferBudget):
 
     def charge_metadata(self, num_bytes: float) -> float:
         """Charge metadata against the byte budget *and* the stream time."""
-        if not self._timed():
+        if not self._timed:
             return super().charge_metadata(num_bytes)
         begin = max(self.stream_clock, self.opened_at)
         charged = min(num_bytes, self.metadata_capacity())
@@ -333,32 +328,11 @@ class RoutingProtocol(abc.ABC):
         return inserted
 
     def on_meeting_start(self, peer: "RoutingProtocol", now: float) -> None:
-        """Called when a meeting with *peer* begins (before any exchange)."""
+        """Called when a contact with *peer* opens (before any exchange).
 
-    # ------------------------------------------------------------------
-    # Contact-session hooks (durational modes)
-    # ------------------------------------------------------------------
-    # Every protocol adopts these; the defaults route session opening to
-    # the historic per-meeting hook so protocol state (meeting-time
-    # estimators, delivery predictabilities, ...) updates once per contact
-    # regardless of the contact model in force.
-
-    def on_session_open(self, peer: "RoutingProtocol", session: "LinkSession", now: float) -> None:
-        """A contact session with *peer* opened (before any exchange)."""
-        self.on_meeting_start(peer, now)
-
-    def on_session_close(self, peer: "RoutingProtocol", session: "LinkSession", now: float) -> None:
-        """The contact session closed; ``session.interrupted`` tells why."""
-
-    def on_transfer_interrupted(
-        self, packet: Packet, peer: "RoutingProtocol", now: float, bytes_sent: float
-    ) -> None:
-        """A transfer of *packet* to *peer* was cut after *bytes_sent* bytes.
-
-        The replica was never committed at the peer (the simulator rolls
-        partial transfers back, or resumes them on the next contact of the
-        same pair when resume is enabled), so default protocol state needs
-        no repair; protocols may track the event for their own estimators.
+        Called once per contact under every contact model, so protocol
+        state (meeting-time estimators, delivery predictabilities, ...)
+        updates the same way whether the contact has a window or not.
         """
 
     def exchange_control(self, peer: "RoutingProtocol", now: float, budget: TransferBudget) -> None:

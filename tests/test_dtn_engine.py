@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.dtn.events import EndOfSimulationEvent, MeetingEvent, PacketCreationEvent
+from repro.dtn.events import Event, EndOfSimulationEvent, MeetingEvent, PacketCreationEvent
 from repro.dtn.node import DeploymentNoise, Node
 from repro.dtn.packet import Packet, PacketFactory, PacketRecord
 from repro.dtn.results import SimulationResult
 from repro.dtn.scheduler import EventQueue
 from repro.dtn.simulator import Simulator, run_simulation
 from repro.dtn.workload import ParallelWorkload, PoissonWorkload, single_packet_workload
+from repro.exceptions import SimulationError
 from repro.mobility.schedule import Meeting, MeetingSchedule
 from repro.routing.registry import create_factory
 
@@ -156,6 +157,19 @@ class TestSimulatorBasics:
         noise = DeploymentNoise(capacity_jitter=0.0, meeting_miss_probability=0.0, processing_delay=7.0)
         result = run_simulation(schedule, packets, create_factory("direct"), noise=noise)
         assert result.record_for(packets[0].packet_id).delivery_time == 17.0
+
+    def test_unknown_event_type_raises_simulation_error(self):
+        class ForeignEventSimulator(Simulator):
+            def _build_events(self):
+                queue = super()._build_events()
+                queue.push(Event(time=5.0))
+                return queue
+
+        schedule = MeetingSchedule([Meeting(time=10.0, node_a=0, node_b=1, capacity=10_000)], duration=20.0)
+        packets = single_packet_workload(source=0, destination=1)
+        simulator = ForeignEventSimulator(schedule, packets, create_factory("direct"))
+        with pytest.raises(SimulationError, match="unknown event type"):
+            simulator.run()
 
     def test_noise_validation(self):
         with pytest.raises(ValueError):
