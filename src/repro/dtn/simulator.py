@@ -748,23 +748,23 @@ class Simulator:
             result.meetings_missed += 1
             return None
 
-        cutoff = float("inf")
+        cutoff = contact.end if windowed else float("inf")
         interrupted = False
-        if windowed:
-            cutoff = contact.end
+        # A window with extent; a zero-duration window is one instant.
+        timed = windowed and contact.duration > 0.0
+        if timed:
             # Interruption draw (interruptible model): the contact dies at
             # a uniform fraction of its window with the configured
             # probability.
             if (
                 self.contact_model == CONTACT_MODEL_INTERRUPTIBLE
                 and self.interrupt_probability > 0.0
-                and contact.duration > 0.0
                 and float(self._contact_rng.random()) < self.interrupt_probability
             ):
                 fraction = float(self._contact_rng.uniform(0.05, 0.95))
                 cutoff = contact.start + contact.duration * fraction
                 interrupted = True
-            if kill_fraction is not None and contact.duration > 0.0:
+            if kill_fraction is not None:
                 # Mid-transfer kill (fault process): the session dies at
                 # the drawn fraction of the window — possibly earlier than
                 # the interruptible model's own draw; the earlier cutoff
@@ -775,9 +775,10 @@ class Simulator:
                 interrupted = True
                 result.transfers_killed += 1
         elif kill_fraction is not None:
-            # Mid-transfer kill on a window-less session: the whole
-            # contact is one transfer instant, so dying at a fraction of
-            # it truncates the transferable bytes to that fraction.
+            # Mid-transfer kill on a window-less session or a zero-duration
+            # window: the whole contact is one transfer instant, so dying
+            # at a fraction of it truncates the transferable bytes to that
+            # fraction.
             if not math.isinf(capacity):
                 capacity *= kill_fraction
             interrupted = True
@@ -789,7 +790,7 @@ class Simulator:
         # the bytes streamable before the cutoff are registered (the same
         # denominator-honesty rule that excludes infinite capacities).
         achievable = capacity
-        if windowed and interrupted and not math.isinf(capacity):
+        if timed and interrupted and not math.isinf(capacity):
             achievable = min(
                 capacity,
                 scale * contact.profile.bytes_within(contact, cutoff - contact.start),
@@ -839,9 +840,11 @@ class Simulator:
     def _close_contact(self, state: _OpenContact, now: float) -> None:
         """Finalize a session: byte accounting, interruption tally, trace.
 
-        ``contacts_interrupted`` counts windows cut short; a killed
-        window-less session has no window, so its kill shows only in the
-        trace (and in ``transfers_killed``).
+        ``contacts_interrupted`` counts windows cut short.  A killed
+        window-less session has no window, and a zero-duration window has
+        no extent to cut, so their kills show only in the trace (and in
+        ``transfers_killed``): every contact model counts the same killed
+        instant alike.
         """
         result = self.result
         session = state.session
@@ -849,7 +852,7 @@ class Simulator:
         result.metadata_bytes += session.metadata_bytes
         state.x.node.counters.metadata_bytes_sent += session.metadata_bytes / 2.0
         state.y.node.counters.metadata_bytes_sent += session.metadata_bytes / 2.0
-        if session.interrupted and session.contact is not None:
+        if session.interrupted and session.contact is not None and session.contact.duration > 0.0:
             result.contacts_interrupted += 1
         tracer = self.tracer
         if tracer is not None:

@@ -47,7 +47,7 @@ from repro.faults import (
     merge_windows,
 )
 from repro.mobility.exponential import ExponentialMobility
-from repro.mobility.schedule import Meeting
+from repro.mobility.schedule import Contact, Meeting, MeetingSchedule
 from repro.observability import MemorySink
 from repro.routing.registry import create_factory
 
@@ -424,6 +424,40 @@ class TestSimulatorFaults:
             e["wiped_replicas"] for e in sink.events if e["ev"] == "node_down"
         )
         assert wiped == result.replicas_lost_to_crashes
+
+    @pytest.mark.parametrize("model", ["instantaneous", "durational", "interruptible"])
+    def test_kill_truncates_zero_duration_contact_in_every_model(self, model):
+        """A kill on a zero-duration contact cuts its byte budget to the
+        killed fraction under every contact model.  The contact has no
+        window to cut short, so it does not count in
+        ``contacts_interrupted``."""
+        schedule = MeetingSchedule(
+            [Contact(time=10.0, node_a=0, node_b=1, capacity=4096.0, duration=0.0)],
+            nodes=range(2),
+            duration=20.0,
+        )
+        packets = [
+            Packet(packet_id=k, source=0, destination=1, size=1024, creation_time=float(k))
+            for k in range(4)
+        ]
+        sink = MemorySink()
+        result = run_simulation(
+            schedule,
+            packets,
+            create_factory("epidemic"),
+            seed=1,
+            options={
+                "contact_model": model,
+                "fault_schedule": FaultSchedule(transfer_kills={0: 0.5}),
+                "trace_sink": sink,
+            },
+        )
+        assert result.num_delivered == 2
+        assert result.transfers_killed == 1
+        assert result.data_bytes == 2048.0
+        assert result.contacts_interrupted == 0
+        closes = [e for e in sink.events if e["ev"] == "contact_close"]
+        assert len(closes) == 1 and closes[0]["interrupted"] is True
 
 
 # ----------------------------------------------------------------------
