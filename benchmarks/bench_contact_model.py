@@ -9,11 +9,15 @@ of ``bench_rapid_hotpath`` twice on that same pipeline —
 2. the **explicit** ``contact_model="instantaneous"`` spelling,
 
 asserts the two outputs are byte-identical and the explicit spelling is
-at most 10% slower (best-of-N wall time, so scheduler noise does not
-flap the gate), then records the cost of the ``durational`` and
+at most 10% slower, then records the cost of the ``durational`` and
 ``interruptible`` models on a DieselNet-style day with real contact
 windows.  Everything lands in
 ``benchmarks/results/BENCH_contact_model.json``.
+
+The two spellings are timed in interleaved pairs, each pair in
+alternating order, and the gate compares their median wall times: a
+burst of load on a shared host then slows both spellings of a pair
+alike instead of one spelling's whole best-of-N block.
 
 Usage::
 
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -46,8 +51,10 @@ from bench_config import emit_bench_json
 #: sub-100ms cell cannot flap the gate on scheduler noise.
 OVERHEAD_CEILING = 1.10
 ABSOLUTE_SLACK_S = 0.05
-#: Wall times are the best of this many runs (denoising).
+#: Wall times of the durational probe are the best of this many runs.
 REPEATS = 3
+#: Interleaved (default, explicit) pairs behind the gated medians.
+PAIRS = 5
 
 
 def _hotpath_inputs(quick: bool):
@@ -81,27 +88,59 @@ def _durational_inputs(quick: bool):
     return day.schedule, packets
 
 
+def _run_cell(
+    schedule, packets, capacity: float, options: Optional[Dict[str, object]]
+) -> Tuple[Dict[str, object], float]:
+    """Run the cell once; return (payload, wall seconds)."""
+    started = time.perf_counter()
+    result = run_simulation(
+        schedule,
+        packets,
+        create_factory("rapid"),
+        buffer_capacity=capacity,
+        seed=5,
+        options=dict(options) if options is not None else None,
+    )
+    elapsed = time.perf_counter() - started
+    return result.to_dict(), elapsed
+
+
 def _time_cell(
     schedule, packets, capacity: float, options: Optional[Dict[str, object]]
 ) -> Tuple[Dict[str, object], float]:
     """Run the cell REPEATS times; return (payload, best wall seconds)."""
-    best = float("inf")
-    payload: Dict[str, object] = {}
-    for _ in range(REPEATS):
-        started = time.perf_counter()
-        result = run_simulation(
-            schedule,
-            packets,
-            create_factory("rapid"),
-            buffer_capacity=capacity,
-            seed=5,
-            options=dict(options) if options is not None else None,
-        )
-        elapsed = time.perf_counter() - started
-        if elapsed < best:
-            best = elapsed
-        payload = result.to_dict()
-    return payload, best
+    runs = [_run_cell(schedule, packets, capacity, options) for _ in range(REPEATS)]
+    return runs[-1][0], min(elapsed for _, elapsed in runs)
+
+
+def _time_pairs(
+    schedule, packets, capacity: float, options: Dict[str, object]
+) -> Tuple[Dict[str, object], float, Dict[str, object], float]:
+    """Time the default and *options* spellings in PAIRS interleaved pairs.
+
+    The first of each pair alternates, so neither spelling always runs
+    on the warmer or the colder half.  Returns ``(default payload, median
+    default seconds, explicit payload, median explicit seconds)``.
+    """
+    default_times = []
+    explicit_times = []
+    for pair in range(PAIRS):
+        spellings = [(None, default_times), (options, explicit_times)]
+        if pair % 2:
+            spellings.reverse()
+        for spelling, times in spellings:
+            payload, elapsed = _run_cell(schedule, packets, capacity, spelling)
+            times.append(elapsed)
+            if spelling is None:
+                default_payload = payload
+            else:
+                explicit_payload = payload
+    return (
+        default_payload,
+        statistics.median(default_times),
+        explicit_payload,
+        statistics.median(explicit_times),
+    )
 
 
 def _canonical(payload: Dict[str, object]) -> str:
@@ -112,8 +151,7 @@ def run_gate(quick: bool) -> Dict[str, object]:
     """Run the full gate; return the BENCH payload (raises on regression)."""
     schedule, packets, capacity = _hotpath_inputs(quick)
 
-    default_payload, default_s = _time_cell(schedule, packets, capacity, None)
-    explicit_payload, explicit_s = _time_cell(
+    default_payload, default_s, explicit_payload, explicit_s = _time_pairs(
         schedule, packets, capacity, {"contact_model": "instantaneous"}
     )
 
