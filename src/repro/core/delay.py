@@ -71,36 +71,17 @@ def direct_delivery_delay(
     return expected_meeting_time * n
 
 
-def direct_delivery_delay_array(
-    expected_meeting_times: np.ndarray,
-    bytes_ahead: np.ndarray,
-    packet_sizes: np.ndarray,
-    expected_transfer_bytes: np.ndarray,
-) -> np.ndarray:
-    """Vectorised :func:`direct_delivery_delay` over packed candidate arrays.
-
-    Element ``k`` equals ``direct_delivery_delay(E[k], b[k], s[k], B[k])``
-    bit-for-bit: the quotient, ceil and product are the same IEEE-754
-    double operations the scalar path performs, and an infinite expected
-    meeting time multiplies through to :data:`~repro.constants.NEVER_MEET`
-    exactly as the scalar early-return does.
-    """
-    safe_transfer = np.where(expected_transfer_bytes > 0, expected_transfer_bytes, 1.0)
-    meetings = np.maximum(np.ceil((bytes_ahead + packet_sizes) / safe_transfer), 1.0)
-    meetings = np.where(expected_transfer_bytes > 0, meetings, 1.0)
-    return expected_meeting_times * meetings
-
-
-def delivery_rate_fold(
-    first_delays: np.ndarray, other_delays: np.ndarray
+def delivery_rate_sum(
+    delays: np.ndarray, rows: np.ndarray, count: int
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Vectorised :func:`delivery_rate` over ``[first_i, *others_i]`` rows.
+    """Vectorised :func:`delivery_rate` over *count* flattened delay lists.
 
-    *first_delays* has shape ``(n,)``; *other_delays* has shape ``(n, k)``
-    and is padded with ``+inf`` — an infinite delay contributes a rate of
-    exactly ``0.0``, and adding ``0.0`` to a non-negative partial sum is
-    the IEEE-754 identity, so padded rows fold to the same bits as the
-    scalar left-to-right accumulation over the unpadded list.
+    ``delays[k]`` belongs to row ``rows[k]``, and each row's delays appear
+    in the order the scalar fold takes them.  ``np.bincount`` adds its
+    weights one by one in input order, so every row's rate is the scalar
+    left-to-right accumulation bit for bit: it starts at ``0.0``, and an
+    infinite delay adds ``1/inf == 0.0``, the IEEE-754 identity on a
+    non-negative partial sum, just as the scalar fold skips it.
 
     Returns ``(rate, degenerate)``: the folded rates plus a boolean mask of
     rows containing a non-positive delay, for which the scalar function
@@ -108,26 +89,22 @@ def delivery_rate_fold(
     of such a row is unspecified).
     """
     with np.errstate(divide="ignore"):
-        rate = np.where(np.isinf(first_delays), 0.0, 1.0 / first_delays)
-        degenerate = first_delays <= 0
-        for j in range(other_delays.shape[1]):
-            column = other_delays[:, j]
-            rate = rate + np.where(np.isinf(column), 0.0, 1.0 / column)
-            degenerate |= column <= 0
+        rate = np.bincount(rows, 1.0 / delays, count)
+    degenerate = np.bincount(rows[delays <= 0], minlength=count) > 0
     return rate, degenerate
 
 
 def fold_extra_delay(
     rate: np.ndarray, degenerate: np.ndarray, extra_delays: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Fold one more replica delay into :func:`delivery_rate_fold` results.
+    """Fold one more replica delay into :func:`delivery_rate_sum` results.
 
     Appending a delay to the scalar fold's input list adds exactly one
     more ``rate += 1/d`` step, so the updated rate is bit-identical to
     refolding the extended list from scratch.
     """
     with np.errstate(divide="ignore"):
-        extended = rate + np.where(np.isinf(extra_delays), 0.0, 1.0 / extra_delays)
+        extended = rate + 1.0 / extra_delays
     return extended, degenerate | (extra_delays <= 0)
 
 

@@ -10,9 +10,7 @@ within ``h`` hops are assigned an infinite expected meeting time.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Optional
 
 from .. import constants
 
@@ -149,69 +147,3 @@ class MeetingTimeEstimator:
         """Mean direct inter-meeting time with *peer_id*, if observed."""
         return self._tables[self.node_id].get(peer_id)
 
-
-class EstimateScratch:
-    """Per-destination memo for one candidate-ranking pass.
-
-    RAPID's selection algorithm scores every transferable packet at every
-    meeting, but the expensive inputs — the holder's ``h``-hop expected
-    meeting time ``E(M_XZ)`` and its average transfer-opportunity size
-    ``B_X(Z)`` — depend only on the packet's *destination*.  A scratch is
-    built per (meeting, participant) and collapses those lookups to one
-    per distinct destination; the vectorised ranking in
-    :mod:`repro.core.rapid` fills its packed arrays from it.
-
-    The scratch holds no state beyond the pass it serves: it must be
-    discarded once either participant's tables can change (i.e. at the end
-    of the ranking computation).
-    """
-
-    __slots__ = ("_meetings", "_transfers", "_meeting_times", "_transfer_bytes")
-
-    def __init__(self, meetings: "MeetingTimeEstimator", transfer_sizes) -> None:
-        self._meetings = meetings
-        self._transfers = transfer_sizes
-        self._meeting_times: Dict[int, float] = {}
-        self._transfer_bytes: Dict[int, Optional[float]] = {}
-
-    def expected_meeting_time(self, destination: int) -> float:
-        """Memoized ``E(M_XZ)`` for this participant towards *destination*."""
-        cached = self._meeting_times.get(destination)
-        if cached is None:
-            cached = self._meetings.expected_meeting_time(destination)
-            self._meeting_times[destination] = cached
-        return cached
-
-    def expected_transfer_bytes(self, destination: int) -> Optional[float]:
-        """Memoized ``B_X(Z)``, or ``None`` when the estimator has no data.
-
-        ``None`` tells the caller to fall back to the packet's own size —
-        the same per-packet default the scalar path passes to
-        :meth:`~repro.core.transfer_estimator.TransferSizeEstimator.expected_bytes`.
-        """
-        if destination in self._transfer_bytes:
-            return self._transfer_bytes[destination]
-        value = self._transfers.expected_bytes_or_none(destination)
-        self._transfer_bytes[destination] = value
-        return value
-
-    def fill_arrays(
-        self, destinations: np.ndarray, fallback_sizes: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-packet meeting-time and transfer-size arrays in one pass.
-
-        Each packet reads the memoized scalar accessors, so the expensive
-        lookups still run once per *distinct* destination and values match
-        the scalar path bit for bit.  ``None`` transfer estimates fall back
-        to the packet's own size, exactly as the scalar path's per-packet
-        default does.
-        """
-        meeting_time = self.expected_meeting_time
-        transfer_bytes = self.expected_transfer_bytes
-        meeting = []
-        transfer = []
-        for destination, size in zip(destinations.tolist(), fallback_sizes.tolist()):
-            meeting.append(meeting_time(destination))
-            estimate = transfer_bytes(destination)
-            transfer.append(size if estimate is None else estimate)
-        return np.array(meeting, dtype=np.float64), np.array(transfer, dtype=np.float64)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import chain, repeat
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -132,27 +132,22 @@ class MetadataStore:
             self._ids[slots], self._holders[slots], self._estimates[slots], self._updated[slots]
         )
 
-    def estimate_matrix(self, packet_ids: np.ndarray, exclude_holder: int) -> np.ndarray:
-        """Estimates of the packets *packet_ids*, one row each, ``inf``-padded.
+    def replica_estimates(
+        self, packet_ids: Sequence[int], exclude_holder: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every holder's estimate of each of *packet_ids*, as ``(rows, estimates)``.
 
-        Row ``i`` lists the estimates of every holder of ``packet_ids[i]``
-        other than *exclude_holder*, in holder order; the width
-        is the largest such count.  An infinite delay is a zero delivery
-        rate, so the padding leaves a left fold over each row unchanged.
+        ``estimates[k]`` is the estimate of a holder of ``packet_ids[rows[k]]``
+        other than *exclude_holder*.  Rows ascend and each packet's holders
+        come in holder order: the delivery-rate fold is a float sum whose
+        order matters for bit identity.
         """
         slots_of = self._slots_of
-        groups = [slots_of.get(packet_id, _NO_SLOTS).values() for packet_id in packet_ids.tolist()]
-        count = len(groups)
-        slots = np.fromiter(chain.from_iterable(groups), dtype=np.int64)
-        candidate = np.repeat(np.arange(count), [len(group) for group in groups])
+        groups = [slots_of.get(packet_id, _NO_SLOTS) for packet_id in packet_ids]
+        slots = np.fromiter(chain.from_iterable(map(dict.values, groups)), dtype=np.int64)
+        rows = np.arange(len(groups)).repeat(list(map(len, groups)))
         keep = self._holders[slots] != exclude_holder
-        slots = slots[keep]
-        candidate = candidate[keep]
-        counts = np.bincount(candidate, minlength=count)
-        column = np.arange(len(candidate)) - (np.cumsum(counts) - counts)[candidate]
-        matrix = np.full((count, int(counts.max(initial=0))), np.inf)
-        matrix[candidate, column] = self._estimates[slots]
-        return matrix
+        return rows[keep], self._estimates[slots[keep]]
 
     # ------------------------------------------------------------------
     # Scalar updates (packet creation, transfer, eviction, acks)

@@ -31,7 +31,7 @@ from ..profiling import slow_reference_mode
 from ..routing.base import ProtocolContext, RoutingProtocol, TransferBudget
 from . import delay as delay_module
 from .control import ControlChannel, GlobalControlChannel, make_channel
-from .meeting_estimator import EstimateScratch, MeetingTimeEstimator
+from .meeting_estimator import MeetingTimeEstimator
 from .metadata import MetadataStore
 from .transfer_estimator import TransferSizeEstimator
 from .utility import (
@@ -110,9 +110,6 @@ class RapidProtocol(RoutingProtocol):
         #: ranking and eviction paths; output must match the fast path bit
         #: for bit, which the golden tests assert.
         self._slow_reference = slow_reference_mode()
-        #: Per-packet ``(eviction_score, destination)`` memo, alive only
-        #: inside one ``make_room`` eviction cascade.
-        self._eviction_scores: Optional[Dict[int, Tuple[float, int]]] = None
         # Weak values: the registry sits in the context every instance
         # holds, so strong values would make each simulation's protocols
         # (and their metadata columns) a reference cycle that outlives the
@@ -303,11 +300,11 @@ class RapidProtocol(RoutingProtocol):
 
         Both ranking paths share this scoring; they differ only in how the
         order is materialised (eager sort vs. lazy heap).  The fast path
-        batches the per-candidate direct-delivery delays through numpy and
-        an :class:`EstimateScratch` per participant; the reference path
-        (``REPRO_SLOW_ESTIMATES=1``) and the global-channel oracle — whose
-        per-replica estimates depend on every holder's live buffer — use
-        the original per-packet scalar calls.
+        computes each participant's direct-delivery delays for all
+        candidates in one pass (:meth:`_direct_delays_for_holder`); the
+        reference path (``REPRO_SLOW_ESTIMATES=1``) and the global-channel
+        oracle — whose per-replica estimates depend on every holder's live
+        buffer — use the original per-packet scalar calls.
         """
         candidates = self.transferable_packets(peer)
         use_max_delay = isinstance(self.metric, MaximumDelayMetric)
@@ -321,16 +318,15 @@ class RapidProtocol(RoutingProtocol):
             self._audit_replication_rank(peer, now, candidates, scored)
             return scored
 
-        rows, own_delays, peer_delays, sizes, creation_times = self._vectorized_direct_delays(
-            candidates, peer, now
-        )
+        own_delays = self._direct_delays_for_holder(self, candidates, now)
+        peer_delays = self._direct_delays_for_holder(peer, candidates, now)
         if self._vector_rank:
             # Whole-meeting array kernel: fold the per-replica rates, the
             # before/after combined delays and the marginal utilities for
             # every candidate in a handful of numpy passes.  Each element
             # is bit-identical to the scalar rank (the golden tests hold
             # the fast path to the REPRO_SLOW_ESTIMATES=1 reference).
-            rate, degenerate = self._fold_replica_rates(rows, own_delays)
+            rate, degenerate = self._fold_replica_rates(candidates, own_delays)
             before = delay_module.combined_remaining_delay_array(rate, degenerate)
             rate_after, degenerate_after = delay_module.fold_extra_delay(
                 rate, degenerate, peer_delays
@@ -340,8 +336,10 @@ class RapidProtocol(RoutingProtocol):
             )
             marginal = self.metric.marginal_utility_array(before, after, now)
             improves = marginal > _MIN_MARGINAL_UTILITY
-            ages = np.maximum(0.0, now - creation_times)
-            keys = np.where(improves, marginal / sizes, ages)
+            store = self.buffer.store
+            rows = store.rows_for(candidates)
+            ages = np.maximum(0.0, now - store.creation_times[rows])
+            keys = np.where(improves, marginal / store.sizes[rows], ages)
             recorder = self.context.decisions
             if recorder is not None:
                 # The kernel outputs are handed over wholesale (one
@@ -399,81 +397,72 @@ class RapidProtocol(RoutingProtocol):
         )
 
     def _direct_delays_for_holder(
-        self,
-        holder: "RapidProtocol",
-        packets: Sequence[Packet],
-        destinations: np.ndarray,
-        sizes: np.ndarray,
-        now: float,
+        self, holder: "RapidProtocol", packets: Sequence[Packet], now: float
     ) -> np.ndarray:
-        """``d_holder(i)`` for every packet, as one array kernel pass.
+        """``d_holder(i) = E(M) * max(ceil((b + s) / B), 1)`` for every packet.
 
-        The per-destination meeting-time and transfer-size estimates are
-        memoized through an :class:`EstimateScratch` (one lookup per
-        distinct destination), queue positions come from the holder
-        buffer's per-destination serve-order index, and the final
-        ``d = E(M) * n`` evaluation is the proven-bit-identical
-        :func:`~repro.core.delay.direct_delivery_delay_array`.
+        One pass over the packets.  The holder's ``(E(M_XZ), B_X(Z))``
+        depend only on the destination, so they are looked up once per
+        distinct destination; the queue positions ``b`` come from one
+        ``bytes_ahead_batch`` call.  Element ``k`` equals the scalar
+        :meth:`own_delay_estimate` chain bit for bit: the same quotient,
+        ceil and product, an infinite ``E(M)`` multiplying through to
+        :data:`~repro.constants.NEVER_MEET`, the packet's own size standing
+        in for a missing transfer estimate and one meeting for ``B <= 0``.
         """
-        scratch = EstimateScratch(holder.meetings, holder.transfer_sizes)
-        meeting, transfer = scratch.fill_arrays(destinations, sizes)
-        ahead = holder.buffer.bytes_ahead_batch(packets, now)
-        return delay_module.direct_delivery_delay_array(meeting, ahead, sizes, transfer)
-
-    def _vectorized_direct_delays(
-        self, candidates: Sequence[Packet], peer: "RapidProtocol", now: float
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Own and would-be-peer direct-delivery delays for all candidates.
-
-        Pulls the candidates' sizes, creation times and destinations as
-        structure-of-arrays columns (one store-row lookup per packet), and
-        evaluates both holders' ``d = E(M) * n`` in two array passes.
-        Returns ``(rows, own_delays, peer_delays, sizes, creation_times)``.
-        """
-        store = self.buffer.store
-        rows = store.rows_for(candidates)
-        sizes = store.sizes[rows]
-        creation_times = store.creation_times[rows]
-        destinations = store.destinations[rows]
-        own_delays = self._direct_delays_for_holder(
-            self, candidates, destinations, sizes, now
-        )
-        peer_delays = self._direct_delays_for_holder(
-            peer, candidates, destinations, sizes, now
-        )
-        return rows, own_delays, peer_delays, sizes, creation_times
+        meeting_time = holder.meetings.expected_meeting_time
+        transfer_bytes = holder.transfer_sizes.expected_bytes_or_none
+        ceil = math.ceil
+        per_destination: Dict[int, Tuple[float, Optional[float]]] = {}
+        delays: List[float] = []
+        append = delays.append
+        ahead = holder.buffer.bytes_ahead_batch(packets, now).tolist()
+        for packet, bytes_ahead in zip(packets, ahead):
+            destination = packet.destination
+            if destination in per_destination:
+                meeting, transfer = per_destination[destination]
+            else:
+                meeting, transfer = per_destination[destination] = (
+                    meeting_time(destination),
+                    transfer_bytes(destination),
+                )
+            size = packet.size
+            if transfer is None:
+                transfer = size
+            if transfer > 0:
+                meetings = ceil((bytes_ahead + size) / transfer)
+                append(meeting * (meetings if meetings > 1 else 1))
+            else:
+                append(meeting)
+        return np.array(delays, dtype=np.float64)
 
     def _fold_replica_rates(
-        self, rows: np.ndarray, own_delays: np.ndarray
+        self, packets: Sequence[Packet], own_delays: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fold ``[own, *metadata replicas]`` delivery rates per candidate row.
+        """Fold ``[own, *metadata replicas]`` delivery rates per packet.
 
-        The metadata columns give every candidate's other holders'
-        estimates in holder order as one ``inf``-padded matrix — an
-        infinite delay contributes exactly ``0.0`` rate, so padding
-        preserves the scalar left-fold bit for bit.
+        The own delays go first and every packet's other holders follow
+        in holder order, so the one sequential sum reproduces the scalar
+        :func:`~repro.core.delay.delivery_rate` left fold bit for bit.
         """
-        packet_ids = self.buffer.store.ids[rows]
-        return delay_module.delivery_rate_fold(
-            own_delays, self.metadata.estimate_matrix(packet_ids, self.node_id)
+        rows, others = self.metadata.replica_estimates(
+            [packet.packet_id for packet in packets], self.node_id
+        )
+        count = len(own_delays)
+        return delay_module.delivery_rate_sum(
+            np.concatenate((own_delays, others)),
+            np.concatenate((np.arange(count), rows)),
+            count,
         )
 
     def buffer_delay_estimates(self, now: float) -> np.ndarray:
         """Own direct-delivery delay estimates for every buffered packet.
 
-        One array-kernel pass aligned with ``buffer.packets()`` — the
-        batched equivalent of calling :meth:`own_delay_estimate` per
-        packet, used by the in-band control channel's buffer-state
-        exchange.
+        One pass aligned with ``buffer.packets()`` — the batched
+        equivalent of calling :meth:`own_delay_estimate` per packet, used
+        by the in-band control channel's buffer-state exchange.
         """
-        packets = self.buffer.packets()
-        store = self.buffer.store
-        rows = self.buffer.snapshot_rows()
-        sizes = store.sizes[rows]
-        destinations = store.destinations[rows]
-        return self._direct_delays_for_holder(
-            self, packets, destinations, sizes, now
-        )
+        return self._direct_delays_for_holder(self, self.buffer.packets(), now)
 
     def _rank_key(
         self,
@@ -542,35 +531,14 @@ class RapidProtocol(RoutingProtocol):
     # ------------------------------------------------------------------
     # Storage management (Section 3.4: lowest utility evicted first)
     # ------------------------------------------------------------------
-    def begin_eviction_cascade(self, incoming: Packet, now: float) -> None:
-        """Open the per-cascade eviction-score memo (see ``make_room``)."""
-        if not self._slow_reference:
-            self._eviction_scores = {}
-
-    def end_eviction_cascade(self) -> None:
-        self._eviction_scores = None
-
     def on_replica_evicted(self, packet: Packet, now: float) -> None:
-        """Keep metadata and the cascade memo consistent with the buffer.
+        """Forget this node's replica record of the evicted *packet*.
 
         Called by ``make_room`` right after the victim left the buffer (and
         its hop count was dropped), so buffer, hop counts and metadata can
-        never disagree.  Evicting a packet changes the serve-queue position
-        — and hence the remaining-delay score — of exactly the packets
-        bound for the same destination, so only those memo entries are
-        invalidated.
+        never disagree.
         """
         self.metadata.remove_replica(packet.packet_id, self.node_id)
-        scores = self._eviction_scores
-        if scores is not None:
-            scores.pop(packet.packet_id, None)
-            stale = [
-                packet_id
-                for packet_id, (_, destination) in scores.items()
-                if destination == packet.destination
-            ]
-            for packet_id in stale:
-                del scores[packet_id]
 
     def choose_eviction_victim(self, incoming: Packet, now: float) -> Optional[int]:
         recorder = self.context.decisions
@@ -603,28 +571,21 @@ class RapidProtocol(RoutingProtocol):
                     )
                 return None
             reason = "own_fallback_lowest_score"
-        scores = self._eviction_scores
-        if scores is not None and self._vector_rank and not self._use_oracle:
-            missing = [p for p in candidates if p.packet_id not in scores]
-            if missing:
-                self._fill_eviction_scores(missing, now, scores)
-        best_score: Optional[float] = None
-        victim_id: Optional[int] = None
-        audit_scores: Optional[List[float]] = [] if recorder is not None else None
-        for packet in candidates:
-            cached = scores.get(packet.packet_id) if scores is not None else None
-            if cached is not None:
-                score = cached[0]
-            else:
+        if self._vector_rank and not (self._use_oracle or self._slow_reference):
+            # argmin takes the first minimum, as the scalar loop's strict
+            # ``<`` does.
+            audit_scores = self._eviction_score_array(candidates, now)
+            victim_id = candidates[int(np.argmin(audit_scores))].packet_id
+        else:
+            best_score: Optional[float] = None
+            audit_scores = []
+            for packet in candidates:
                 remaining = self.expected_remaining_delay(packet, now)
                 score = self.metric.eviction_score(packet, remaining, now)
-                if scores is not None:
-                    scores[packet.packet_id] = (score, packet.destination)
-            if audit_scores is not None:
                 audit_scores.append(score)
-            if best_score is None or score < best_score:
-                best_score = score
-                victim_id = packet.packet_id
+                if best_score is None or score < best_score:
+                    best_score = score
+                    victim_id = packet.packet_id
         if recorder is not None:
             recorder.eviction_choice(
                 self.node_id, now, self.name, incoming.packet_id,
@@ -633,35 +594,20 @@ class RapidProtocol(RoutingProtocol):
             )
         return victim_id
 
-    def _fill_eviction_scores(
-        self,
-        missing: List[Packet],
-        now: float,
-        scores: Dict[int, Tuple[float, int]],
-    ) -> None:
-        """Score all unmemoized eviction victims in one array-kernel pass.
+    def _eviction_score_array(self, candidates: List[Packet], now: float) -> np.ndarray:
+        """Eviction scores of all *candidates* in one array-kernel pass.
 
-        The vectorised cascade: serve-order-index queue positions,
-        one fold of ``[own, *replica]`` rates, one combined-delay kernel
-        and one eviction-score kernel replace the per-victim scalar chain.
         Values are bit-identical to :meth:`expected_remaining_delay` +
-        ``metric.eviction_score`` (all victims sit in this buffer, so the
-        own estimate leads each fold exactly as ``replica_delays`` does).
+        ``metric.eviction_score`` per packet (all candidates sit in this
+        buffer, so the own estimate leads each fold exactly as
+        ``replica_delays`` does).
         """
-        store = self.buffer.store
-        rows = store.rows_for(missing)
-        sizes = store.sizes[rows]
-        creation_times = store.creation_times[rows]
-        destinations = store.destinations[rows]
-        own_delays = self._direct_delays_for_holder(
-            self, missing, destinations, sizes, now
-        )
-        rate, degenerate = self._fold_replica_rates(rows, own_delays)
+        own_delays = self._direct_delays_for_holder(self, candidates, now)
+        rate, degenerate = self._fold_replica_rates(candidates, own_delays)
         remaining = delay_module.combined_remaining_delay_array(rate, degenerate)
-        ages = np.maximum(0.0, now - creation_times)
-        batch = self.metric.eviction_score_array(ages, remaining, now)
-        for packet, score in zip(missing, batch):
-            scores[packet.packet_id] = (float(score), packet.destination)
+        store = self.buffer.store
+        ages = np.maximum(0.0, now - store.creation_times[store.rows_for(candidates)])
+        return self.metric.eviction_score_array(ages, remaining, now)
 
     # ------------------------------------------------------------------
     # Introspection helpers (used by tests and examples)

@@ -54,10 +54,10 @@ class TransferSizeEstimator:
     def expected_bytes_or_none(self, peer_id: Optional[int] = None) -> Optional[float]:
         """Like :meth:`expected_bytes` but ``None`` before any observation.
 
-        Lets callers that batch estimates per destination (the per-meeting
-        :class:`~repro.core.meeting_estimator.EstimateScratch`) distinguish
-        "no information, fall back to the packet's own size" from an actual
-        estimate without threading per-packet defaults through the memo.
+        Lets callers that look estimates up once per destination (RAPID's
+        one-pass delay kernel) tell "no information, fall back to the
+        packet's own size" from an actual estimate without threading
+        per-packet defaults through their per-destination memo.
         """
         if peer_id is not None and peer_id in self._per_peer:
             return self._per_peer[peer_id]

@@ -432,34 +432,25 @@ class RoutingProtocol(abc.ABC):
     def make_room(self, incoming: Packet, now: float) -> bool:
         """Evict packets until *incoming* fits; return False when impossible.
 
-        One call is one *eviction cascade*: victim selection may be asked
-        many times under storage pressure, so protocols that score victims
-        expensively get ``begin_eviction_cascade``/``end_eviction_cascade``
-        brackets to keep a score memo across the cascade.  All bookkeeping
-        for an evicted replica happens here, in one place — buffer entry,
-        hop count, then the ``on_replica_evicted`` hook for protocol-side
-        state (e.g. RAPID's replica metadata) — so the three can never
-        disagree.
+        One call is one *eviction cascade*: victims are chosen one at a
+        time until the incoming packet fits.  All bookkeeping for an
+        evicted replica happens here, in one place — buffer entry, hop
+        count, then the ``on_replica_evicted`` hook for protocol-side state
+        (e.g. RAPID's replica metadata) — so the three can never disagree.
         """
-        if self.buffer.fits(incoming):
-            return True
         tracer = self.context.tracer
-        self.begin_eviction_cascade(incoming, now)
-        try:
-            while not self.buffer.fits(incoming):
-                victim = self.choose_eviction_victim(incoming, now)
-                if victim is None:
-                    return False
-                packet = self.buffer.remove(victim)
-                self.hop_counts.pop(victim, None)
-                self.storage_drops += 1
-                self.node.counters.packets_dropped += 1
-                self.on_replica_evicted(packet, now)
-                if tracer is not None:
-                    tracer.packet_evicted(packet, self.node_id, now)
-            return True
-        finally:
-            self.end_eviction_cascade()
+        while not self.buffer.fits(incoming):
+            victim = self.choose_eviction_victim(incoming, now)
+            if victim is None:
+                return False
+            packet = self.buffer.remove(victim)
+            self.hop_counts.pop(victim, None)
+            self.storage_drops += 1
+            self.node.counters.packets_dropped += 1
+            self.on_replica_evicted(packet, now)
+            if tracer is not None:
+                tracer.packet_evicted(packet, self.node_id, now)
+        return True
 
     def wipe_buffer(self, now: float) -> List[Packet]:
         """Drop every buffered replica (a node crash), returning the losses.
@@ -480,12 +471,6 @@ class RoutingProtocol(abc.ABC):
             self.on_replica_evicted(packet, now)
             wiped.append(packet)
         return wiped
-
-    def begin_eviction_cascade(self, incoming: Packet, now: float) -> None:
-        """Called before the first victim selection of a ``make_room`` call."""
-
-    def end_eviction_cascade(self) -> None:
-        """Called when a ``make_room`` eviction cascade finishes (either way)."""
 
     def on_replica_evicted(self, packet: Packet, now: float) -> None:
         """Called after *packet* was evicted (buffer and hop count dropped)."""

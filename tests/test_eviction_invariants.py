@@ -4,10 +4,13 @@ The eviction audit (buffer, hop counts and RAPID replica metadata must
 never disagree), the ``send_acks`` budget fix (only acks that fit the
 remaining opportunity are learned by the peer) and focused units for the
 incremental hot path: the per-destination serve-order index, the
-cascade-scoped eviction-score cache and the lazy-heap candidate ranking.
+memo-free eviction cascade and the lazy-heap candidate ranking.
 """
 
 from __future__ import annotations
+
+import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from repro import constants, units
 from repro.core.rapid import RapidProtocol
 from repro.core import delay as delay_module
 from repro.dtn.node import Node
-from repro.dtn.packet import PacketFactory
+from repro.dtn.packet import Packet, PacketFactory
 from repro.dtn.workload import PoissonWorkload
 from repro.mobility.exponential import ExponentialMobility
 from repro.routing.base import ProtocolContext, RoutingProtocol, TransferBudget
@@ -130,8 +133,8 @@ class _CountingMetric:
         return self._metric.eviction_score(packet, remaining, now)
 
 
-class TestEvictionScoreCache:
-    def test_cascade_rescores_only_same_destination(self):
+class TestMemoFreeEviction:
+    def test_scalar_cascade_rescores_all_survivors(self):
         x, y, _ = make_rapid_pair(capacity=4096)
         counting = _CountingMetric(x.metric)
         x.metric = counting
@@ -146,14 +149,12 @@ class TestEvictionScoreCache:
         counting.eviction_scores = 0
         incoming = factory.create(source=3, destination=20, size=3072, creation_time=5.0)
         assert x.accept_replica(incoming, y, now=5.0)
-        # Cascade of three evictions over four candidates: the reference
-        # path rescores every remaining candidate at every step (4+3+2=9);
-        # the cache scores each candidate once because every victim is the
-        # sole packet for its destination (4 scores total).
-        assert counting.eviction_scores == 4
+        # Cascade of three evictions over four candidates: with no memo,
+        # every step scores every remaining candidate (4+3+2=9).
+        assert counting.eviction_scores == 9
         assert_protocol_consistent(x)
 
-    def test_cache_invalidated_for_victims_destination(self):
+    def test_cascade_rescores_the_victims_destination(self):
         x, y, _ = make_rapid_pair(capacity=3072)
         counting = _CountingMetric(x.metric)
         x.metric = counting
@@ -166,12 +167,121 @@ class TestEvictionScoreCache:
         counting.eviction_scores = 0
         incoming = factory.create(source=3, destination=20, size=2048, creation_time=5.0)
         assert x.accept_replica(incoming, y, now=5.0)
-        # Step 1 scores all three candidates.  If a destination-10 packet is
-        # evicted, the surviving destination-10 packet must be rescored in
-        # step 2 (its queue position changed) — more than three evaluations
-        # in total proves the invalidation fires.
-        assert counting.eviction_scores >= 3
+        # Step 1 scores all three candidates, step 2 the two survivors —
+        # including a destination-10 packet whose queue position moved
+        # if its sibling was the first victim.
+        assert counting.eviction_scores == 5
         assert_protocol_consistent(x)
+
+    def test_kernel_cascade_matches_scalar_scores(self):
+        x, y, _ = make_rapid_pair(capacity=4096)
+        factory = PacketFactory()
+        x.meetings.record_meeting(10, 30.0)
+        for i, size in enumerate((512, 1024, 512, 1024)):
+            packet = factory.create(
+                source=3, destination=10 + i % 2, size=size, creation_time=float(i)
+            )
+            assert x.accept_replica(packet, y, now=float(i))
+        candidates = list(x.buffer)
+        kernel = x._eviction_score_array(candidates, 6.0)
+        scalar = [
+            x.metric.eviction_score(p, x.expected_remaining_delay(p, 6.0), 6.0)
+            for p in candidates
+        ]
+        assert kernel.tolist() == scalar
+
+    def test_tied_scores_evict_the_first_candidate(self):
+        # Destinations nobody can reach give every candidate the same
+        # score (-inf); like the scalar loop's strict ``<``, the kernel
+        # path must evict the first candidate in buffer order.
+        victims = []
+        for slow in (False, True):
+            x, y, _ = make_rapid_pair(capacity=3072)
+            x._slow_reference = slow
+            factory = PacketFactory()
+            stored = [
+                factory.create(source=3, destination=10 + i, size=1024, creation_time=0.0)
+                for i in range(3)
+            ]
+            for packet in stored:
+                assert x.accept_replica(packet, y, now=1.0)
+            incoming = factory.create(source=3, destination=20, size=1024, creation_time=2.0)
+            victims.append(x.choose_eviction_victim(incoming, 2.0))
+        assert victims == [stored[0].packet_id, stored[0].packet_id]
+
+    def test_multi_victim_cascades_match_reference(self, monkeypatch):
+        """Mixed sizes force cascades of two or more victims; the memo-free
+        kernel path must pick the same victims, and write the same
+        decision audit, as ``REPRO_SLOW_ESTIMATES=1``.
+
+        Eviction events must match line for line.  Ranking events match
+        too, except for the ``marginal`` field that only the kernel path
+        computes.
+        """
+        from repro.dtn.simulator import run_simulation
+        from repro.observability import MemorySink
+        from repro.profiling import ENV_SLOW_ESTIMATES
+
+        mobility = ExponentialMobility(
+            num_nodes=6, mean_inter_meeting=40.0, transfer_opportunity=30 * units.KB, seed=2
+        )
+        schedule = mobility.generate(600.0)
+        rng = np.random.default_rng(5)
+        factory = PacketFactory()
+        packets = []
+        for created in np.sort(rng.uniform(0.0, 600.0, size=160)).tolist():
+            source, destination = rng.choice(6, size=2, replace=False).tolist()
+            size = int(rng.choice([256, 1024, 4096]))
+            packets.append(
+                factory.create(
+                    source=source, destination=destination, size=size, creation_time=created
+                )
+            )
+        original = RapidProtocol.make_room
+
+        def run(slow: bool):
+            monkeypatch.delenv(ENV_SLOW_ESTIMATES, raising=False)
+            if slow:
+                monkeypatch.setenv(ENV_SLOW_ESTIMATES, "1")
+            cascades = []
+
+            def make_room(self, incoming, now):
+                before = set(self.buffer.packet_ids)
+                admitted = original(self, incoming, now)
+                victims = sorted(before - set(self.buffer.packet_ids))
+                cascades.append((self.node_id, incoming.packet_id, victims))
+                return admitted
+
+            monkeypatch.setattr(RapidProtocol, "make_room", make_room)
+            sink = MemorySink()
+            result = run_simulation(
+                schedule,
+                packets,
+                create_factory("rapid"),
+                buffer_capacity=8 * units.KB,
+                seed=4,
+                options={"decision_sink": sink},
+            )
+            monkeypatch.delenv(ENV_SLOW_ESTIMATES, raising=False)
+            return cascades, sink.lines(), result.to_dict()
+
+        def audit(lines):
+            events = [json.loads(line) for line in lines]
+            for event in events:
+                event.pop("marginal", None)
+            evictions = [line for line in lines if '"ev":"eviction_choice"' in line]
+            return events, evictions
+
+        fast = run(slow=False)
+        slow = run(slow=True)
+        assert max(len(victims) for _, _, victims in fast[0]) >= 2
+        assert fast[0] == slow[0]
+        fast_events, fast_evictions = audit(fast[1])
+        slow_events, slow_evictions = audit(slow[1])
+        assert len(fast_evictions) >= len(fast[0]) > 0
+        assert fast_evictions == slow_evictions
+        assert fast_events == slow_events
+        assert fast[2] == slow[2]
 
 
 class TestAckBudgetClipping:
@@ -255,7 +365,19 @@ class TestLazyHeapRanking:
         ahead = rng.integers(0, 10**7, size=64).astype(float)
         sizes = rng.integers(1, 10**5, size=64).astype(float)
         transfers = rng.uniform(1.0, 10**6, size=64)
-        vector = delay_module.direct_delivery_delay_array(meetings, ahead, sizes, transfers)
+        # Packet k goes to destination k, so the holder's per-destination
+        # estimates and queue positions are exactly the arrays above.
+        holder = SimpleNamespace(
+            meetings=SimpleNamespace(expected_meeting_time=lambda k: float(meetings[k])),
+            transfer_sizes=SimpleNamespace(expected_bytes_or_none=lambda k: float(transfers[k])),
+            buffer=SimpleNamespace(bytes_ahead_batch=lambda packets, now: ahead.copy()),
+        )
+        packets = [
+            Packet(packet_id=k, source=99, destination=k, size=int(sizes[k]))
+            for k in range(64)
+        ]
+        x, _, _ = make_rapid_pair()
+        vector = x._direct_delays_for_holder(holder, packets, now=0.0)
         for k in range(64):
             scalar = delay_module.direct_delivery_delay(
                 meetings[k], ahead[k], sizes[k], transfers[k]
