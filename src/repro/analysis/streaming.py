@@ -44,12 +44,12 @@ backends.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
-from ..dtn.packet import DEFAULT_TRAFFIC_CLASS, Packet
+from ..dtn.packet import Packet
 
 __all__ = [
     "DEFAULT_RELATIVE_ERROR",

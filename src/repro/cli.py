@@ -16,10 +16,10 @@
   tune the skew and burst shape);
 * ``repro-dtn protocols`` — list registered routing protocols;
 * ``repro-dtn quicksim --protocol rapid --nodes 10`` — run a single ad-hoc
-  simulation (exponential mobility by default; ``--mobility`` selects
-  any model, including the spatial ones, ``--workload`` any traffic
-  model and ``--contact-model`` any contact semantics) and print the
-  summary;
+  simulation as one synthetic engine cell (exponential mobility by
+  default; ``--mobility`` selects any model, including the spatial ones,
+  ``--workload`` any traffic model and ``--contact-model`` any contact
+  semantics) and print the summary;
 * ``repro-dtn inspect trace.jsonl --packet 3`` — replay a lifecycle
   trace written by ``--trace-out`` into an overview, one packet's
   timeline, a per-packet table or a per-node summary; ``--why ID``
@@ -52,25 +52,24 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
-from . import constants, units
+from . import units
 from .profiling import ENV_PROFILE
-from .dtn.results import RESULT_MODE_RECORDS, RESULT_MODES
-from .dtn.simulator import run_simulation
+from .dtn.results import RESULT_MODES
 from .exceptions import ReproError
 from .engine import (
     ExperimentEngine,
     Executor,
     ObservabilityOptions,
+    ScenarioSpec,
     SweepManifest,
     SweepTelemetry,
     use_engine,
 )
-from .faults import FAULT_MODEL_NAMES, FaultParameters, build_fault_model
+from .faults import FAULT_MODEL_NAMES, FaultParameters
 from .observability import (
     DECISION_EVENT_NAMES,
-    JsonlSink,
     open_trace_output,
     schema_header,
     validate_writable,
@@ -88,11 +87,9 @@ from .experiments import (
 )
 from .exceptions import ConfigurationError
 from .mobility import MOBILITY_MODEL_NAMES
-from .mobility.exponential import ExponentialMobility
-from .mobility.powerlaw import PowerLawMobility
-from .mobility.spatial import SPATIAL_MODELS, build_spatial_model
-from .routing.registry import available_protocols, create_factory
-from .workloads import WORKLOAD_MODEL_NAMES, build_traffic_model
+from .mobility.spatial import SPATIAL_MODELS
+from .routing.registry import available_protocols
+from .workloads import WORKLOAD_MODEL_NAMES
 
 _TRACE_EXHIBITS = {
     "table3", "figure3", "figure4", "figure5", "figure6", "figure7",
@@ -412,7 +409,18 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_result_mode_argument(sweep_parser)
     _add_engine_arguments(sweep_parser)
 
-    sim_parser = subparsers.add_parser("quicksim", help="run one ad-hoc simulation")
+    sim_parser = subparsers.add_parser(
+        "quicksim",
+        help="run one ad-hoc simulation",
+        description="Run one ad-hoc simulation as one synthetic engine cell: "
+        "the flags become a synthetic experiment config (one run, no packet "
+        "deadline) whose run 0 the engine executes in-process, so the cell "
+        "derives its inputs like every engine cell: schedule seed SEED*100, "
+        "traffic seed SEED*977 + int(L*101) for L packets per "
+        f"{SyntheticExperimentConfig.packet_interval:g} s interval, "
+        "fault seed SEED*6361 + the model's offset, simulator seed SEED; "
+        "RAPID plans against a horizon of --duration.",
+    )
     sim_parser.add_argument("--protocol", default="rapid", help="protocol registry name")
     sim_parser.add_argument("--nodes", type=int, default=10, help="number of nodes")
     sim_parser.add_argument("--duration", type=float, default=600.0, help="duration in seconds")
@@ -719,47 +727,23 @@ def _observability_scope(args: argparse.Namespace, engine: ExperimentEngine):
             print(f"[telemetry] wrote {telemetry_out}", file=sys.stderr)
 
 
-def _config_from_args(family: str, scale: str, seed: int, contact_model: Optional[str] = None):
-    """Resolve the experiment configuration for a family at a scale."""
+def _config_from_args(family: str, scale: str, seed: int):
+    """The experiment configuration of a family at a scale."""
     config_cls = TraceExperimentConfig if family == "trace" else SyntheticExperimentConfig
-    config = config_cls.paper_scale(seed=seed) if scale == "paper" else config_cls.ci_scale(seed=seed)
-    if contact_model is not None:
-        config = config.with_contact_model(contact_model)
-    return config
+    return config_cls.paper_scale(seed=seed) if scale == "paper" else config_cls.ci_scale(seed=seed)
 
 
-def _parse_mobilities(value: Optional[str]) -> List[str]:
-    """Parse and validate a comma-separated ``--mobility`` value."""
+def _parse_names(value: Optional[str], known: Sequence[str], noun: str) -> List[str]:
+    """Parse and validate a comma-separated list of registered names.
+
+    *noun* names the registry in the error message (``mobility model``,
+    ``workload model``, ``fault model``).
+    """
     names = [name.strip() for name in (value or "").split(",") if name.strip()]
     for name in names:
-        if name not in MOBILITY_MODEL_NAMES:
+        if name not in known:
             raise ConfigurationError(
-                f"unknown mobility model {name!r}; "
-                f"expected one of {', '.join(MOBILITY_MODEL_NAMES)}"
-            )
-    return names
-
-
-def _parse_workloads(value: Optional[str]) -> List[str]:
-    """Parse and validate a comma-separated ``--workload`` value."""
-    names = [name.strip() for name in (value or "").split(",") if name.strip()]
-    for name in names:
-        if name not in WORKLOAD_MODEL_NAMES:
-            raise ConfigurationError(
-                f"unknown workload model {name!r}; "
-                f"expected one of {', '.join(WORKLOAD_MODEL_NAMES)}"
-            )
-    return names
-
-
-def _parse_faults(value: Optional[str]) -> List[str]:
-    """Parse and validate a comma-separated ``--fault-model`` value."""
-    names = [name.strip() for name in (value or "").split(",") if name.strip()]
-    for name in names:
-        if name not in FAULT_MODEL_NAMES:
-            raise ConfigurationError(
-                f"unknown fault model {name!r}; "
-                f"expected one of {', '.join(FAULT_MODEL_NAMES)}"
+                f"unknown {noun} {name!r}; expected one of {', '.join(known)}"
             )
     return names
 
@@ -776,7 +760,7 @@ def _fault_params_from_args(args: argparse.Namespace, base: FaultParameters):
     fault_rate = getattr(args, "fault_rate", None)
     if fault_rate is None:
         return base
-    if not _parse_faults(getattr(args, "fault_model", None)):
+    if not _parse_names(getattr(args, "fault_model", None), FAULT_MODEL_NAMES, "fault model"):
         raise ConfigurationError(
             "--fault-rate applies only with --fault-model; select a model "
             f"({', '.join(FAULT_MODEL_NAMES)})"
@@ -800,7 +784,10 @@ def _workload_params_from_args(args: argparse.Namespace, base):
     burstiness = getattr(args, "burstiness", None)
     if zipf_alpha is None and burstiness is None:
         return base
-    effective = _parse_workloads(getattr(args, "workload", None)) or [base.model]
+    effective = (
+        _parse_names(getattr(args, "workload", None), WORKLOAD_MODEL_NAMES, "workload model")
+        or [base.model]
+    )
     try:
         if zipf_alpha is not None:
             if "zipf" not in effective:
@@ -823,11 +810,12 @@ def _workload_params_from_args(args: argparse.Namespace, base):
     return base
 
 
-def _resolve_config(args: argparse.Namespace, family: str):
-    """Build the experiment config from parsed CLI arguments."""
+def _resolve_config(args: argparse.Namespace, config):
+    """Apply the parsed CLI arguments to the base experiment *config*."""
     from dataclasses import replace
 
-    config = _config_from_args(family, args.scale, args.seed, args.contact_model)
+    if args.contact_model is not None:
+        config = config.with_contact_model(args.contact_model)
     if getattr(args, "contact_resume", False):
         config = replace(config, contact_resume=True)
     workload_params = _workload_params_from_args(args, config.workload)
@@ -842,7 +830,7 @@ def _resolve_config(args: argparse.Namespace, family: str):
     mobility = getattr(args, "mobility", None)
     arena = getattr(args, "arena", None)
     radio_range = getattr(args, "radio_range", None)
-    if family == "trace":
+    if isinstance(config, TraceExperimentConfig):
         if mobility or arena is not None or radio_range is not None:
             raise ConfigurationError(
                 "--mobility/--arena/--radio-range apply only to synthetic "
@@ -852,7 +840,10 @@ def _resolve_config(args: argparse.Namespace, family: str):
     if arena is not None or radio_range is not None:
         # Geometry flags only mean anything when a spatial model is in
         # play; reject the misuse instead of silently ignoring it.
-        effective = _parse_mobilities(mobility) or [config.mobility]
+        effective = (
+            _parse_names(mobility, MOBILITY_MODEL_NAMES, "mobility model")
+            or [config.mobility]
+        )
         if not any(name in SPATIAL_MODELS for name in effective):
             raise ConfigurationError(
                 "--arena/--radio-range apply only to the spatial mobility "
@@ -905,7 +896,7 @@ def _command_protocols() -> int:
 def _command_run(args: argparse.Namespace) -> int:
     runner_fn = EXPERIMENT_INDEX[args.exhibit]
     family = "trace" if args.exhibit in _TRACE_EXHIBITS else "synthetic"
-    config = _resolve_config(args, family)
+    config = _resolve_config(args, _config_from_args(family, args.scale, args.seed))
     if args.workload:
         # Exhibits pin the paper's uniform workload via the config;
         # --workload genuinely replaces the arrival model for every cell.
@@ -958,7 +949,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
         specs.append(ProtocolSpec(label=name, registry_name=name, options=options))
 
     engine = _engine_from_args(args)
-    config = _resolve_config(args, args.family)
+    config = _resolve_config(args, _config_from_args(args.family, args.scale, args.seed))
     if args.family == "trace":
         runner = TraceRunner(config, engine=engine)
         x_label = "Packets generated per hour per destination"
@@ -970,9 +961,11 @@ def _command_sweep(args: argparse.Namespace) -> int:
     # pass of the sweep, implemented as per-cell overrides so the engine
     # caches every (mobility, workload, fault, protocol, load, run) cell
     # independently.
-    mobilities = _parse_mobilities(getattr(args, "mobility", None)) or [None]
-    workload_models = _parse_workloads(getattr(args, "workload", None)) or [None]
-    fault_models = _parse_faults(getattr(args, "fault_model", None)) or [None]
+    mobilities = _parse_names(args.mobility, MOBILITY_MODEL_NAMES, "mobility model") or [None]
+    workload_models = (
+        _parse_names(args.workload, WORKLOAD_MODEL_NAMES, "workload model") or [None]
+    )
+    fault_models = _parse_names(args.fault_model, FAULT_MODEL_NAMES, "fault model") or [None]
     passes = [
         (mobility, workload, fault)
         for mobility in mobilities
@@ -1156,111 +1149,38 @@ def _command_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_quicksim_mobility(args: argparse.Namespace):
-    """Resolve the quicksim mobility model from CLI flags."""
-    name = args.mobility or "exponential"
-    if name in SPATIAL_MODELS:
-        from .mobility.spatial import SpatialParameters
-
-        if args.mean_meeting is not None:
-            raise ConfigurationError(
-                "--mean-meeting applies only to the sampler models "
-                "(exponential, powerlaw); spatial contact rates follow "
-                "from --arena/--radio-range geometry"
-            )
-        spatial = SpatialParameters()
-        if args.arena is not None:
-            spatial = spatial.with_arena(args.arena)
-        if args.radio_range is not None:
-            spatial = spatial.with_radio_range(args.radio_range)
-        return build_spatial_model(
-            name, num_nodes=args.nodes, params=spatial, seed=args.seed
-        )
-    if args.arena is not None or args.radio_range is not None:
-        raise ConfigurationError(
-            "--arena/--radio-range apply only to the spatial mobility "
-            f"models ({', '.join(SPATIAL_MODELS)})"
-        )
-    mean_meeting = 60.0 if args.mean_meeting is None else args.mean_meeting
-    model_cls = PowerLawMobility if name == "powerlaw" else ExponentialMobility
-    return model_cls(
-        num_nodes=args.nodes, mean_inter_meeting=mean_meeting, seed=args.seed
-    )
-
-
 def _command_quicksim(args: argparse.Namespace) -> int:
-    from .workloads import WorkloadParameters
-
-    mobility = _build_quicksim_mobility(args)
-    schedule = mobility.generate(args.duration)
-    # The default uniform model reproduces the historic quicksim
-    # workload (PoissonWorkload at the same seed) byte for byte.
-    workload_params = _workload_params_from_args(args, WorkloadParameters())
-    workload = build_traffic_model(
-        workload_params,
-        packets_per_hour=args.load,
-        packet_size=constants.DEFAULT_PACKET_SIZE,
-        seed=args.seed + 1,
-        model=args.workload or None,
-    )
-    packets = workload.generate(list(range(args.nodes)), args.duration)
-    factory = create_factory(args.protocol)
-    observability = _observability_from_args(args)
-    options: dict = {}
-    if args.profile:
-        options["profile"] = True
-    if args.contact_model is not None and args.contact_model != "instantaneous":
-        options["contact_model"] = args.contact_model
-        if args.contact_resume:
-            options["contact_resume"] = True
-    fault_params = _fault_params_from_args(args, FaultParameters())
-    if args.fault_model is not None:
-        options["fault_model"] = build_fault_model(
-            fault_params,
-            seed=args.seed * 6361 + fault_params.seed_offset,
-            model=args.fault_model,
+    mobility = args.mobility or "exponential"
+    if mobility in SPATIAL_MODELS and args.mean_meeting is not None:
+        raise ConfigurationError(
+            "--mean-meeting applies only to the sampler models "
+            "(exponential, powerlaw); spatial contact rates follow "
+            "from --arena/--radio-range geometry"
         )
-    # The records default stays out of the options dict so the historic
-    # quicksim path (and its byte-identical summary) is untouched.
-    if args.result_mode is not None and args.result_mode != RESULT_MODE_RECORDS:
-        options["result_mode"] = args.result_mode
-    sink = (
-        JsonlSink(args.trace_out, header=schema_header(result_mode=args.result_mode))
-        if args.trace_out is not None
-        else None
-    )
-    if sink is not None:
-        options["trace_sink"] = sink
-    decision_sink = (
-        JsonlSink(
-            args.decisions_out,
-            header=schema_header(
-                events=DECISION_EVENT_NAMES,
-                kind="decisions",
-                result_mode=args.result_mode,
-            ),
-        )
-        if args.decisions_out is not None
-        else None
-    )
-    if decision_sink is not None:
-        options["decision_sink"] = decision_sink
-    if observability.metrics_interval is not None:
-        options["metrics_interval"] = observability.metrics_interval
-    result = run_simulation(
-        schedule,
-        packets,
-        factory,
+    config = SyntheticExperimentConfig(
+        num_nodes=args.nodes,
+        mean_inter_meeting=60.0 if args.mean_meeting is None else args.mean_meeting,
+        duration=args.duration,
         buffer_capacity=args.buffer_kb * units.KB,
+        deadline=None,
+        mobility=mobility,
+        num_runs=1,
         seed=args.seed,
-        options=options or None,
     )
-    if sink is not None:
-        sink.close()
-        print(f"[trace] wrote {args.trace_out}", file=sys.stderr)
-    if decision_sink is not None:
-        decision_sink.close()
-        print(f"[decisions] wrote {args.decisions_out}", file=sys.stderr)
+    if args.workload:
+        config = config.with_workload(config.workload.with_model(args.workload))
+    if args.fault_model:
+        config = config.with_faults(config.faults.with_model(args.fault_model))
+    config = _resolve_config(args, config)
+    spec = ScenarioSpec.for_cell(
+        config,
+        ProtocolSpec(args.protocol, args.protocol, {}),
+        load=args.load * config.packet_interval / units.HOUR,
+        run_index=0,
+    )
+    engine = ExperimentEngine(workers=1, use_cache=False)
+    with _profile_scope(args.profile), engine, _observability_scope(args, engine):
+        (result,) = engine.run_cells([spec])
     print(f"protocol:          {result.protocol_name}")
     for key, value in result.summary().items():
         print(f"{key:35s} {value:.4f}")

@@ -309,13 +309,17 @@ class RapidProtocol(RoutingProtocol):
         candidates = self.transferable_packets(peer)
         use_max_delay = isinstance(self.metric, MaximumDelayMetric)
         scored: List[Tuple[Tuple[int, float], int, Packet]] = []
+        marginals: List[float] = []
         if self._slow_reference or self._use_oracle or not candidates:
             for index, packet in enumerate(candidates):
                 delays_before = self.replica_delays(packet, now)
                 extra = self.peer_delay_estimate(packet, peer, now)
-                rank = self._rank_key(packet, delays_before, extra, now, use_max_delay)
+                rank, marginal = self._rank_key(
+                    packet, delays_before, extra, now, use_max_delay
+                )
                 scored.append((rank, index, packet))
-            self._audit_replication_rank(peer, now, candidates, scored)
+                marginals.append(marginal)
+            self._audit_replication_rank(peer, now, candidates, scored, marginals)
             return scored
 
         own_delays = self._direct_delays_for_holder(self, candidates, now)
@@ -364,9 +368,10 @@ class RapidProtocol(RoutingProtocol):
             delays_before: List[float] = [float(own_delays[index])]
             delays_before.extend(self.metadata.estimates(packet.packet_id, self.node_id))
             extra = float(peer_delays[index])
-            rank = self._rank_key(packet, delays_before, extra, now, use_max_delay)
+            rank, marginal = self._rank_key(packet, delays_before, extra, now, use_max_delay)
             scored.append((rank, index, packet))
-        self._audit_replication_rank(peer, now, candidates, scored)
+            marginals.append(marginal)
+        self._audit_replication_rank(peer, now, candidates, scored, marginals)
         return scored
 
     def _audit_replication_rank(
@@ -375,13 +380,14 @@ class RapidProtocol(RoutingProtocol):
         now: float,
         candidates: Sequence[Packet],
         scored: List[Tuple[Tuple[int, float], int, Packet]],
+        marginals: Sequence[float],
     ) -> None:
         """Record one scalar-path ranking pass in the decision audit.
 
         The vector-kernel branch emits directly from its arrays; the
         scalar branches (slow reference, oracle, non-average-delay
         metrics) go through this helper so every path produces the same
-        event shape.
+        event: candidates, score, marginal and improves.
         """
         recorder = self.context.decisions
         if recorder is None or not candidates:
@@ -393,6 +399,7 @@ class RapidProtocol(RoutingProtocol):
             self.name,
             candidates=[p.packet_id for p in candidates],
             score=[rank[1] for rank, _, _ in scored],
+            marginal=marginals,
             improves=[bool(rank[0]) for rank, _, _ in scored],
         )
 
@@ -471,8 +478,9 @@ class RapidProtocol(RoutingProtocol):
         extra: float,
         now: float,
         use_max_delay: bool,
-    ) -> Tuple[int, float]:
-        """The ``(improves, key)`` replication rank of one candidate."""
+    ) -> Tuple[Tuple[int, float], float]:
+        """The ``(improves, key)`` replication rank of one candidate, and
+        the marginal utility it was derived from (for the decision audit)."""
         marginal = self.metric.marginal_utility(packet, delays_before, extra, now)
         improves = 1 if marginal > _MIN_MARGINAL_UTILITY else 0
         if use_max_delay:
@@ -486,7 +494,7 @@ class RapidProtocol(RoutingProtocol):
                 # Order the "cannot help" tail by age so older packets
                 # still get the spare bandwidth first.
                 key = packet.age(now)
-        return (improves, key)
+        return (improves, key), marginal
 
     def _horizon_delay(self, now: float) -> float:
         """Finite stand-in for an infinite expected delay when ranking."""

@@ -80,12 +80,6 @@ class EventQueue:
         """
         return heapq.heappop(self._heap)[3]
 
-    def peek(self) -> Optional[Event]:
-        """Return the earliest event without removing it, or ``None``."""
-        if not self._heap:
-            return None
-        return self._heap[0][3]
-
     def peek_time(self) -> Optional[float]:
         """Return the time of the earliest event, or ``None`` when empty."""
         if not self._heap:

@@ -37,10 +37,6 @@ class TraceFormatError(ReproError):
     """Raised when a trace file cannot be parsed."""
 
 
-class RoutingError(ReproError):
-    """Raised by routing protocols on invalid protocol-level operations."""
-
-
 class OptimizationError(ReproError):
     """Raised when the offline optimal solver cannot produce a solution."""
 

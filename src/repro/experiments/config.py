@@ -274,7 +274,8 @@ class SyntheticExperimentConfig:
     duration: float = constants.SYNTHETIC_DURATION
     buffer_capacity: float = constants.SYNTHETIC_BUFFER_CAPACITY
     packet_size: int = constants.DEFAULT_PACKET_SIZE
-    deadline: float = constants.SYNTHETIC_DEADLINE
+    #: Packet deadline in seconds; ``None`` creates packets without one.
+    deadline: Optional[float] = constants.SYNTHETIC_DEADLINE
     packet_interval: float = constants.SYNTHETIC_PACKET_INTERVAL
     #: Mobility model of every cell: an abstract inter-meeting sampler
     #: (``powerlaw``, ``exponential``) or a position-based spatial model
@@ -299,6 +300,12 @@ class SyntheticExperimentConfig:
     result_mode: str = RESULT_MODE_RECORDS
 
     def __post_init__(self) -> None:
+        if self.num_nodes < 2:
+            raise ConfigurationError("num_nodes must be at least 2 (a DTN needs two nodes)")
+        if self.duration <= 0:
+            raise ConfigurationError("duration must be positive")
+        if self.mean_inter_meeting <= 0:
+            raise ConfigurationError("mean_inter_meeting must be positive")
         _validate_mobility(self.mobility)
         if self.num_runs < 1:
             raise ConfigurationError("num_runs must be at least 1")

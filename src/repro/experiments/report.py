@@ -10,7 +10,7 @@ reports without any plotting dependency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 
 @dataclass
@@ -24,9 +24,6 @@ class Series:
     def __post_init__(self) -> None:
         if len(self.x) != len(self.y):
             raise ValueError("series x and y must have the same length")
-
-    def as_points(self) -> List[tuple]:
-        return list(zip(self.x, self.y))
 
     def y_at(self, x_value: float) -> float:
         """The y value at *x_value* (exact match required)."""

@@ -12,7 +12,7 @@ Each figure sets RAPID's routing metric to the quantity on the y axis:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .. import units
 from .config import TraceExperimentConfig, standard_protocols
@@ -124,17 +124,3 @@ def run_figure7(
         runner=runner,
         to_minutes=False,
     )
-
-
-def run_all(
-    loads: Sequence[float] = DEFAULT_LOADS,
-    config: Optional[TraceExperimentConfig] = None,
-) -> List[FigureResult]:
-    """Run Figures 4-7 sharing one runner (one set of traces/workloads)."""
-    runner = TraceRunner(config)
-    return [
-        run_figure4(loads, runner=runner),
-        run_figure5(loads, runner=runner),
-        run_figure6(loads, runner=runner),
-        run_figure7(loads, runner=runner),
-    ]

@@ -72,10 +72,6 @@ class FaultParameters:
         """A copy selecting a different fault model (or ``None``)."""
         return replace(self, model=model)
 
-    def with_rate(self, rate: float) -> "FaultParameters":
-        """A copy with a different intensity."""
-        return replace(self, rate=rate)
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-compatible representation (used by the experiment engine)."""
         return asdict(self)

@@ -15,7 +15,7 @@ checked experimentally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..dtn.packet import Packet, PacketFactory
 from ..mobility.schedule import Meeting, MeetingSchedule

@@ -35,11 +35,6 @@ class MobilityModel(abc.ABC):
         """Node identifiers, ``0 .. num_nodes - 1``."""
         return range(self.num_nodes)
 
-    def reseed(self, seed: Optional[int]) -> None:
-        """Reset the internal random generator (used for repeated runs)."""
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
-
     @abc.abstractmethod
     def generate(self, duration: float) -> MeetingSchedule:
         """Generate a meeting schedule covering ``[0, duration)`` seconds."""

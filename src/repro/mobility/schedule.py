@@ -235,13 +235,6 @@ class MeetingSchedule:
             return 0.0
         return self.total_capacity() / len(self._meetings)
 
-    def pair_meeting_counts(self) -> Dict[Tuple[int, int], int]:
-        """Number of meetings per unordered node pair."""
-        counts: Dict[Tuple[int, int], int] = {}
-        for meeting in self._meetings:
-            counts[meeting.pair()] = counts.get(meeting.pair(), 0) + 1
-        return counts
-
     def mean_inter_meeting_times(self) -> Dict[Tuple[int, int], float]:
         """Empirical mean inter-meeting time per unordered pair.
 

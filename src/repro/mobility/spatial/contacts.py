@@ -18,7 +18,6 @@ with the sampled pair distance.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -206,8 +205,3 @@ class _OpenWindow:
     def __init__(self, entry: float) -> None:
         self.entry = entry
         self.rates: List[float] = []
-
-
-def pair_distance(positions: np.ndarray, node_a: int, node_b: int) -> float:
-    """Euclidean distance between two nodes of one position snapshot."""
-    return float(math.dist(positions[node_a], positions[node_b]))

@@ -14,7 +14,7 @@ accumulates over long sweeps and the position stream is bit-reproducible.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -61,11 +61,6 @@ class GridRoutes(SpatialModel):
         self._direction: Optional[np.ndarray] = None
         self._progress: Optional[np.ndarray] = None
         self._speeds: Optional[np.ndarray] = None
-
-    @property
-    def num_intersections(self) -> Tuple[int, int]:
-        """Intersection counts ``(columns, rows)`` of the street grid."""
-        return (self._nx + 1, self._ny + 1)
 
     # ------------------------------------------------------------------
     # Grid state

@@ -19,7 +19,7 @@ so it can cross the multiprocessing boundary next to the spec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 __all__ = ["CellTelemetry", "ObservabilityOptions", "SweepTelemetry"]

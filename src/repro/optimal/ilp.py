@@ -30,7 +30,7 @@ import numpy as np
 
 from ..dtn.packet import Packet
 from ..exceptions import OptimizationError
-from ..mobility.schedule import Meeting, MeetingSchedule
+from ..mobility.schedule import MeetingSchedule
 
 #: A directed edge: (meeting index, tail node, head node, time, capacity).
 DirectedEdge = Tuple[int, int, int, float, float]
@@ -69,15 +69,6 @@ class ILPProblem:
     def num_variables(self) -> int:
         return int(self.objective.size)
 
-    def delivery_edges(self, packet_index: int) -> List[int]:
-        """Variable indices of edges that deliver *packet_index* to its destination."""
-        packet = self.packets[packet_index]
-        indices = []
-        for edge_index, (_, _, head, _, _) in enumerate(self.edges):
-            key = (packet_index, edge_index)
-            if key in self.variable_index and head == packet.destination:
-                indices.append(self.variable_index[key])
-        return indices
 
 
 def _directed_edges(schedule: MeetingSchedule) -> List[DirectedEdge]:

@@ -25,10 +25,6 @@ class ILPSolution:
     is_integral: bool
     method: str
 
-    def total_delay(self) -> float:
-        """Alias for the objective value (total delay incl. undelivered)."""
-        return self.objective_value
-
 
 def _constraint_matrix(problem: ILPProblem):
     from scipy import sparse

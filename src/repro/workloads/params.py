@@ -136,10 +136,6 @@ class WorkloadParameters:
         """Return a copy using the named arrival model."""
         return replace(self, model=str(model))
 
-    def with_classes(self, *classes: TrafficClass) -> "WorkloadParameters":
-        """Return a copy carrying the given multi-class traffic mix."""
-        return replace(self, classes=tuple(classes))
-
     def is_default(self) -> bool:
         """True when these parameters generate the historic default traffic."""
         return self == WorkloadParameters()

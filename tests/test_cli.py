@@ -28,6 +28,20 @@ class TestCLI:
     def test_quicksim_rapid(self, capsys):
         assert main(["quicksim", "--protocol", "rapid", "--nodes", "4", "--duration", "60"]) == 0
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--nodes", "1"],
+            ["--nodes", "0"],
+            ["--duration", "0"],
+            ["--mean-meeting", "0"],
+            ["--load", "0"],
+        ],
+    )
+    def test_quicksim_rejects_bad_input(self, flags, capsys):
+        assert main(["quicksim", *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
@@ -217,3 +231,93 @@ class TestReportCLI:
         assert "Metric series" in html
         assert "Sweep telemetry" in html
         assert "Delivery funnel" in html
+
+
+class TestQuicksimIsOneEngineCell:
+    """``quicksim`` runs exactly the engine cell its flags describe.
+
+    Each case builds the expected :class:`ScenarioSpec` by hand and runs
+    it through the engine worker; the command must print that cell's
+    summary and write that cell's trace and decision-audit lines.
+    """
+
+    BASE = ["--protocol", "rapid", "--nodes", "5", "--duration", "300", "--seed", "3"]
+
+    CASES = {
+        "plain": ([], {}),
+        "crash": (["--fault-model", "crash"], {"faults": "crash"}),
+        "durational": (["--contact-model", "durational"], {"contact_model": "durational"}),
+        "waypoint": (
+            ["--mobility", "waypoint", "--arena", "300", "--radio-range", "120"],
+            {"mobility": "waypoint"},
+        ),
+    }
+
+    @staticmethod
+    def _spec(faults=None, contact_model="instantaneous", mobility="exponential"):
+        from repro import units
+        from repro.engine import ScenarioSpec
+        from repro.experiments.config import ProtocolSpec, SyntheticExperimentConfig
+        from repro.faults import FaultParameters
+        from repro.mobility.spatial import SpatialParameters
+
+        spatial = SpatialParameters()
+        if mobility == "waypoint":
+            spatial = spatial.with_arena(300.0).with_radio_range(120.0)
+        config = SyntheticExperimentConfig(
+            num_nodes=5,
+            mean_inter_meeting=60.0,
+            duration=300.0,
+            buffer_capacity=100 * units.KB,
+            deadline=None,
+            mobility=mobility,
+            spatial=spatial,
+            num_runs=1,
+            seed=3,
+            contact_model=contact_model,
+            faults=FaultParameters(model=faults),
+        )
+        return ScenarioSpec.for_cell(
+            config,
+            ProtocolSpec("rapid", "rapid", {}),
+            load=30.0 * config.packet_interval / units.HOUR,
+            run_index=0,
+        )
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_summary_trace_and_decisions_match_the_engine_cell(self, case, tmp_path, capsys):
+        import json
+
+        from repro.engine.worker import observe_cell
+        from repro.observability import (
+            DECISION_EVENT_NAMES,
+            ObservabilityOptions,
+            schema_header,
+        )
+
+        flags, spec_kwargs = self.CASES[case]
+        trace, decisions = tmp_path / "trace.jsonl", tmp_path / "decisions.jsonl"
+        assert main([
+            "quicksim", *self.BASE, *flags,
+            "--trace-out", str(trace), "--decisions-out", str(decisions),
+        ]) == 0
+        printed = capsys.readouterr().out
+
+        outcome = observe_cell(
+            self._spec(**spec_kwargs), ObservabilityOptions(trace=True, decisions=True)
+        )
+        result = outcome.result
+        expected = [f"protocol:          {result.protocol_name}"] + [
+            f"{key:35s} {value:.4f}" for key, value in result.summary().items()
+        ]
+        assert printed.splitlines() == expected
+
+        def header(**kwargs):
+            return json.dumps(schema_header(**kwargs), sort_keys=True, separators=(",", ":"))
+
+        assert outcome.trace and outcome.decisions
+        assert trace.read_text().splitlines() == [header(result_mode=None), *outcome.trace]
+        assert decisions.read_text().splitlines() == [
+            header(events=DECISION_EVENT_NAMES, kind="decisions", result_mode=None),
+            *outcome.decisions,
+        ]

@@ -53,6 +53,19 @@ def test_package_imports_load_neither_scipy_nor_networkx():
     assert loaded == []
 
 
+def test_quicksim_rapid_loads_neither_scipy_nor_networkx():
+    loaded = _run(
+        """
+        import contextlib, io, json, sys
+        from repro.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["quicksim", "--protocol", "rapid", "--nodes", "4", "--duration", "60"])
+        print(json.dumps([code, sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'networkx'})]))
+        """
+    )
+    assert loaded == [0, []]
+
+
 _SCHEDULE = """
 from repro.dtn.packet import PacketFactory
 from repro.mobility.schedule import Meeting, MeetingSchedule

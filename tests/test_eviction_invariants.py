@@ -9,7 +9,6 @@ memo-free eviction cascade and the lazy-heap candidate ranking.
 
 from __future__ import annotations
 
-import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -212,11 +211,8 @@ class TestMemoFreeEviction:
     def test_multi_victim_cascades_match_reference(self, monkeypatch):
         """Mixed sizes force cascades of two or more victims; the memo-free
         kernel path must pick the same victims, and write the same
-        decision audit, as ``REPRO_SLOW_ESTIMATES=1``.
-
-        Eviction events must match line for line.  Ranking events match
-        too, except for the ``marginal`` field that only the kernel path
-        computes.
+        decision audit, as ``REPRO_SLOW_ESTIMATES=1``: the whole JSONL,
+        ranking and eviction events alike, must match line for line.
         """
         from repro.dtn.simulator import run_simulation
         from repro.observability import MemorySink
@@ -265,22 +261,13 @@ class TestMemoFreeEviction:
             monkeypatch.delenv(ENV_SLOW_ESTIMATES, raising=False)
             return cascades, sink.lines(), result.to_dict()
 
-        def audit(lines):
-            events = [json.loads(line) for line in lines]
-            for event in events:
-                event.pop("marginal", None)
-            evictions = [line for line in lines if '"ev":"eviction_choice"' in line]
-            return events, evictions
-
         fast = run(slow=False)
         slow = run(slow=True)
         assert max(len(victims) for _, _, victims in fast[0]) >= 2
         assert fast[0] == slow[0]
-        fast_events, fast_evictions = audit(fast[1])
-        slow_events, slow_evictions = audit(slow[1])
-        assert len(fast_evictions) >= len(fast[0]) > 0
-        assert fast_evictions == slow_evictions
-        assert fast_events == slow_events
+        evictions = [line for line in fast[1] if '"ev":"eviction_choice"' in line]
+        assert len(evictions) >= len(fast[0]) > 0
+        assert fast[1] == slow[1]
         assert fast[2] == slow[2]
 
 

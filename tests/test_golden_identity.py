@@ -1,8 +1,8 @@
 """Golden bit-identity: the incremental fast path vs. the reference mode.
 
-The incremental delay-estimation engine (per-destination serve-order
-index, per-meeting estimate scratch, vectorised delay math, lazy-heap
-ranking, cascade-scoped eviction-score caching) is a pure optimisation:
+RAPID's fast scoring path (per-destination serve-order index, one-pass
+own-delay loop, in-order replica-rate fold, array candidate scoring,
+lazy-heap ranking, array eviction scoring) is a pure optimisation:
 setting ``REPRO_SLOW_ESTIMATES=1`` selects the original O(buffer)
 reference computations, and both must produce **byte-identical**
 ``SimulationResult.to_dict()`` output.  These tests pin that down for
@@ -70,8 +70,8 @@ def test_rapid_trace_cell_bit_identical(slow_mode_toggle):
 
 
 def test_rapid_synthetic_cell_bit_identical(slow_mode_toggle):
-    # Small buffers force eviction cascades, exercising the cascade-scoped
-    # eviction-score cache against the rescore-every-step reference.
+    # Small buffers force eviction cascades, exercising the array eviction
+    # scoring against the scalar reference.
     config = SyntheticExperimentConfig(
         num_nodes=8,
         mean_inter_meeting=70.0,
