@@ -6,6 +6,10 @@ has learned into a meeting-time adjacency matrix.  The expected time for
 node ``X`` to reach node ``Z`` is then the cheapest path in that matrix
 using at most ``h`` hops (the paper uses ``h = 3``); nodes unreachable
 within ``h`` hops are assigned an infinite expected meeting time.
+
+The matrix is kept up to date in place: a recorded meeting or a merged
+table refreshes only the pairs whose entries it touched, and the h-hop
+search reruns lazily, on the next query after an edge actually moved.
 """
 
 from __future__ import annotations
@@ -30,8 +34,11 @@ class MeetingTimeEstimator:
         #: Number of gaps averaged per peer.
         self._gap_counts: Dict[int, int] = {}
         self._version = 0
+        #: Symmetrised adjacency: ``min`` of the positive entries of both
+        #: directions of each pair, kept current pair by pair as tables change.
+        self._adjacency: Dict[int, Dict[int, float]] = {}
         self._cache: Dict[int, float] = {}
-        self._cache_version = -1
+        self._stale = False
 
     # ------------------------------------------------------------------
     # Local observations
@@ -53,7 +60,8 @@ class MeetingTimeEstimator:
             own[peer_id] = (previous * count + gap) / (count + 1)
             self._gap_counts[peer_id] = count + 1
         self._last_meeting[peer_id] = now
-        self._bump()
+        self._version += 1
+        self._refresh_pair(self.node_id, peer_id)
 
     # ------------------------------------------------------------------
     # Metadata exchange
@@ -74,14 +82,15 @@ class MeetingTimeEstimator:
         if current == table:
             return
         self._tables[owner] = dict(table)
-        self._bump()
+        self._version += 1
+        for peer in table.keys() | (current or {}).keys():
+            self._refresh_pair(owner, peer)
 
     def merge_from(self, other: "MeetingTimeEstimator") -> None:
         """Incorporate everything *other* knows (used at metadata exchange)."""
-        for owner, table in other.known_tables().items():
-            if owner == self.node_id:
-                continue
-            self.merge_table(owner, table)
+        for owner, table in other._tables.items():
+            if owner != self.node_id:
+                self.merge_table(owner, table)
 
     def table_size_entries(self) -> int:
         """Number of adjacency entries known (for metadata byte accounting)."""
@@ -95,26 +104,32 @@ class MeetingTimeEstimator:
         """Monotone counter incremented whenever any table entry changes."""
         return self._version
 
-    def _bump(self) -> None:
-        self._version += 1
+    def _refresh_pair(self, a: int, b: int) -> None:
+        """Re-derive the ``a``–``b`` edge from both tables' entries for it.
 
-    def _adjacency(self) -> Dict[int, Dict[int, float]]:
-        """Symmetrised adjacency matrix of mean direct meeting times."""
-        adjacency: Dict[int, Dict[int, float]] = {}
-        for owner, table in self._tables.items():
-            for peer, mean_time in table.items():
-                if mean_time <= 0:
-                    continue
-                adjacency.setdefault(owner, {})
-                adjacency.setdefault(peer, {})
-                best = min(mean_time, adjacency[owner].get(peer, float("inf")))
-                adjacency[owner][peer] = best
-                adjacency[peer][owner] = min(best, adjacency[peer].get(owner, float("inf")))
-        return adjacency
+        The edge is the smaller positive entry of the two directions; it
+        is dropped when neither direction has one.  A moved edge marks
+        the cached search stale.
+        """
+        best = float("inf")
+        for owner, peer in ((a, b), (b, a)):
+            mean_time = self._tables.get(owner, {}).get(peer)
+            if mean_time is not None and 0 < mean_time < best:
+                best = mean_time
+        edges_a = self._adjacency.setdefault(a, {})
+        edges_b = self._adjacency.setdefault(b, {})
+        if best < float("inf"):
+            if edges_a.get(b) != best:
+                edges_a[b] = edges_b[a] = best
+                self._stale = True
+        elif b in edges_a:
+            del edges_a[b]
+            edges_b.pop(a, None)
+            self._stale = True
 
     def _recompute(self) -> None:
         """Bellman-Ford limited to ``max_hops`` edges from this node."""
-        adjacency = self._adjacency()
+        adjacency = self._adjacency
         distances: Dict[int, float] = {self.node_id: 0.0}
         frontier = dict(distances)
         for _ in range(self.max_hops):
@@ -129,7 +144,7 @@ class MeetingTimeEstimator:
                 break
             frontier = next_frontier
         self._cache = distances
-        self._cache_version = self._version
+        self._stale = False
 
     def expected_meeting_time(self, destination: int) -> float:
         """``E(M_XZ)``: expected time for this node to reach *destination*.
@@ -139,7 +154,7 @@ class MeetingTimeEstimator:
         """
         if destination == self.node_id:
             return 0.0
-        if self._cache_version != self._version:
+        if self._stale:
             self._recompute()
         return self._cache.get(destination, constants.NEVER_MEET)
 

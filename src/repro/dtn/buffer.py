@@ -47,21 +47,22 @@ class _DestinationQueue:
     ``keys`` holds ``(creation_time, packet_id)`` sorted ascending — the
     exact order in which same-destination packets are served (descending
     time-in-system, ties broken by smaller packet id).  ``sizes`` is
-    parallel to ``keys``; prefix sums over it are rebuilt lazily on the
-    first query after a mutation, so a burst of queries between meetings
-    pays O(log n) each while adds/removes stay O(n) list surgery at worst.
-    Both the scalar and the batched ``bytes_ahead`` queries of
-    :class:`NodeBuffer` answer through :meth:`bytes_before`; the queried
-    key need not be stored (``bisect_left`` gives its insertion rank).
+    parallel to ``keys``; ``prefix`` holds its prefix sums, rebuilt
+    lazily (while ``dirty``) on the first query after a mutation, so a
+    burst of queries between meetings pays O(log n) each while
+    adds/removes stay O(n) list surgery at worst.
+    :meth:`NodeBuffer._bytes_ahead` answers every ``bytes_ahead`` query
+    from these lists; the queried key need not be stored (``bisect_left``
+    gives its insertion rank).
     """
 
-    __slots__ = ("keys", "sizes", "_prefix", "_dirty")
+    __slots__ = ("keys", "sizes", "prefix", "dirty")
 
     def __init__(self) -> None:
         self.keys: List[Tuple[float, int]] = []
         self.sizes: List[int] = []
-        self._prefix: List[int] = [0]
-        self._dirty = False
+        self.prefix: List[int] = [0]
+        self.dirty = False
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -70,7 +71,7 @@ class _DestinationQueue:
         index = bisect_left(self.keys, key)
         self.keys.insert(index, key)
         self.sizes.insert(index, size)
-        self._dirty = True
+        self.dirty = True
 
     def remove(self, key: Tuple[float, int]) -> None:
         index = bisect_left(self.keys, key)
@@ -78,19 +79,7 @@ class _DestinationQueue:
             raise BufferError_(f"destination index out of sync for key {key}")
         del self.keys[index]
         del self.sizes[index]
-        self._dirty = True
-
-    def bytes_before(self, key: Tuple[float, int]) -> int:
-        """Total size of entries served strictly before *key*."""
-        if self._dirty:
-            self._prefix = [0]
-            self._prefix.extend(accumulate(self.sizes))
-            self._dirty = False
-        return self._prefix[bisect_left(self.keys, key)]
-
-    @property
-    def max_creation_time(self) -> float:
-        return self.keys[-1][0] if self.keys else float("-inf")
+        self.dirty = True
 
 
 class NodeBuffer:
@@ -336,14 +325,7 @@ class NodeBuffer:
         ``now`` precedes a stored packet's creation time (age clamping can
         then reorder the queue, which the static index cannot represent).
         """
-        if self._slow_reference:
-            return self._bytes_ahead_scan(packet, now)
-        queue = self._by_destination.get(packet.destination)
-        if queue is None or not queue.keys:
-            return 0
-        if packet.creation_time > now or queue.max_creation_time > now:
-            return self._bytes_ahead_scan(packet, now)
-        return queue.bytes_before((packet.creation_time, packet.packet_id))
+        return self._bytes_ahead((packet,), now)[0]
 
     def bytes_ahead_batch(self, packets: Sequence[Packet], now: float) -> np.ndarray:
         """:meth:`bytes_ahead_of` over many packets at once, as a float array.
@@ -354,7 +336,30 @@ class NodeBuffer:
         destination queue's prefix sums, so a whole meeting's queries
         cost O(C log B) with no per-call array set-up.
         """
-        return np.array([self.bytes_ahead_of(p, now) for p in packets], dtype=np.float64)
+        return np.array(self._bytes_ahead(packets, now), dtype=np.float64)
+
+    def _bytes_ahead(self, packets: Sequence[Packet], now: float) -> List[int]:
+        """The one ``bytes_ahead`` loop behind the scalar and batched queries."""
+        if self._slow_reference:
+            return [self._bytes_ahead_scan(packet, now) for packet in packets]
+        queues = self._by_destination
+        ahead: List[int] = []
+        for packet in packets:
+            queue = queues.get(packet.destination)
+            if queue is None or not queue.keys:
+                ahead.append(0)
+                continue
+            keys = queue.keys
+            created = packet.creation_time
+            if created > now or keys[-1][0] > now:
+                ahead.append(self._bytes_ahead_scan(packet, now))
+                continue
+            if queue.dirty:
+                queue.prefix = [0]
+                queue.prefix.extend(accumulate(queue.sizes))
+                queue.dirty = False
+            ahead.append(queue.prefix[bisect_left(keys, (created, packet.packet_id))])
+        return ahead
 
     def _bytes_ahead_scan(self, packet: Packet, now: float) -> int:
         """Reference O(buffer) implementation of :meth:`bytes_ahead_of`."""

@@ -7,10 +7,14 @@ reconstruction lives below it (:mod:`repro.engine.worker`).
 
 Dispatch rule: with one worker and neither retries nor a per-cell
 timeout, cells run in the calling process through
-:func:`~repro.engine.worker.observe_cell`, with no dictionary round trip.
-Every other configuration ships ``{"spec", "observability"}``
-dictionaries to :func:`~repro.engine.worker.execute_cell` on one
-:class:`~repro.engine.resilient.ResilientPool`, and each result comes
+:func:`~repro.engine.worker.observe_cell`, in submission order, with no
+dictionary round trip.  Every other configuration ships ``{"spec",
+"observability"}`` dictionaries to
+:func:`~repro.engine.worker.execute_cell` on one
+:class:`~repro.engine.resilient.ResilientPool`, heaviest ``load`` first
+(a cell's cost grows with its offered load, and sweeps submit loads in
+ascending order, so submission order would start the costliest cells
+last and leave a worker idle at the end of each batch); each result comes
 back as a small header plus its raw record-column bytes, which the
 parent wraps without copying or decoding.  The pool is created on
 the first batch and *reused* across batches, so exhibits that submit
@@ -33,6 +37,7 @@ depend on which process executes it.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -145,14 +150,20 @@ class Executor:
                 cell_timeout=self.cell_timeout,
                 backoff_base=self.backoff_base,
             )
+        # Heaviest load first (see the dispatch rule above); the sort is
+        # stable, so equal loads keep their submission order.
+        order = sorted(range(len(cells)), key=lambda index: -cells[index].load)
         options = observability.to_dict()
         with contextlib.closing(
             self._pool.imap_unordered(
-                [{"spec": spec.to_dict(), "observability": options} for spec in cells],
-                labels=[spec.label for spec in cells],
+                [{"spec": cells[i].to_dict(), "observability": options} for i in order],
+                labels=[cells[i].label for i in order],
             )
         ) as settled:
-            for index, value, failure in settled:
+            for position, value, failure in settled:
+                index = order[position]
+                if failure is not None:
+                    failure = dataclasses.replace(failure, index=index)
                 outcome = None if value is None else CellOutcome.from_dict(value)
                 yield index, outcome, failure
 

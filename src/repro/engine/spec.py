@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
@@ -137,8 +138,10 @@ class ScenarioSpec:
                 f"unknown scenario family {self.family!r}; "
                 f"expected {FAMILY_TRACE!r} or {FAMILY_SYNTHETIC!r}"
             )
-        if self.load <= 0:
-            raise ConfigurationError("scenario load must be positive")
+        if not 0 < self.load < math.inf:
+            raise ConfigurationError(
+                f"scenario load must be a positive finite number, got {self.load!r}"
+            )
         if self.run_index < 0:
             raise ConfigurationError("run_index must be non-negative")
         if self.contact_model is not None and self.contact_model not in CONTACT_MODELS:

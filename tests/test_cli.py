@@ -42,6 +42,15 @@ class TestCLI:
         assert main(["quicksim", *flags]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("load", ["nan", "inf"])
+    def test_sweep_rejects_non_finite_loads(self, load, capsys):
+        code = main([
+            "sweep", "--family", "synthetic", "--protocols", "rapid",
+            "--loads", load, "--no-cache",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

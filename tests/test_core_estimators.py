@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metadata_oracle import columnar_entries, columnar_replica
 from repro import constants
@@ -10,6 +12,101 @@ from repro.core.meeting_estimator import MeetingTimeEstimator
 from repro.core.metadata import MetadataStore
 from repro.core.transfer_estimator import TransferSizeEstimator
 from repro.dtn.packet import Packet, PacketFactory
+
+
+def _reference_expected_times(estimator):
+    """From-scratch ``expected_meeting_time`` for every node.
+
+    Rebuilds the symmetrised adjacency from :meth:`known_tables` (each
+    pair gets the ``min`` of the positive entries of both directions)
+    and runs the same ``max_hops`` frontier search as the estimator.
+    """
+    adjacency = {}
+    for owner, table in estimator.known_tables().items():
+        for peer, mean_time in table.items():
+            if mean_time <= 0:
+                continue
+            adjacency.setdefault(owner, {})
+            adjacency.setdefault(peer, {})
+            best = min(mean_time, adjacency[owner].get(peer, math.inf))
+            adjacency[owner][peer] = best
+            adjacency[peer][owner] = min(best, adjacency[peer].get(owner, math.inf))
+    distances = {estimator.node_id: 0.0}
+    frontier = dict(distances)
+    for _ in range(estimator.max_hops):
+        next_frontier = {}
+        for node, dist in frontier.items():
+            for neighbor, mean_time in adjacency.get(node, {}).items():
+                candidate = dist + mean_time
+                if candidate < distances.get(neighbor, math.inf):
+                    distances[neighbor] = candidate
+                    next_frontier[neighbor] = candidate
+        if not next_frontier:
+            break
+        frontier = next_frontier
+    return distances
+
+
+_NODES = range(6)
+_MEAN_TIMES = st.one_of(
+    st.sampled_from([-4.0, -0.0, 0.0, 5.0, 10.0, 20.0]),
+    st.floats(min_value=1e-3, max_value=1e4, allow_nan=False),
+)
+_TABLES = st.dictionaries(st.sampled_from(_NODES), _MEAN_TIMES, max_size=5)
+_STEPS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.tuples(
+                st.just("meet"),
+                st.sampled_from(_NODES[1:]),
+                st.floats(min_value=0.0, max_value=500.0, allow_nan=False),
+            ),
+            st.tuples(st.just("merge"), st.sampled_from(_NODES), _TABLES),
+            st.tuples(st.just("remerge"), st.sampled_from(_NODES)),
+            st.tuples(
+                st.just("merge_from"),
+                st.sampled_from(_NODES),
+                st.dictionaries(st.sampled_from(_NODES), _TABLES, max_size=3),
+            ),
+        ),
+        st.booleans(),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(max_hops=st.integers(min_value=1, max_value=3), steps=_STEPS)
+def test_meeting_graph_matches_from_scratch_rebuild(max_hops, steps):
+    """The in-place adjacency answers exactly like a full rebuild.
+
+    Steps record meetings, merge tables that add, change and drop peers
+    (zero and negative entries included), re-merge identical tables and
+    merge whole peer estimators; checks run after a random subset of
+    steps, so changes also accumulate between queries.
+    """
+    estimator = MeetingTimeEstimator(node_id=0, max_hops=max_hops)
+    now = 0.0
+    for step, check in steps:
+        kind = step[0]
+        if kind == "meet":
+            now += step[2]
+            estimator.record_meeting(step[1], now)
+        elif kind == "merge":
+            estimator.merge_table(step[1], step[2])
+        elif kind == "remerge":
+            owner = step[1]
+            estimator.merge_table(owner, estimator.known_tables().get(owner, {}))
+        else:
+            other = MeetingTimeEstimator(node_id=step[1])
+            for owner, table in step[2].items():
+                other.merge_table(owner, table)
+            estimator.merge_from(other)
+        if check:
+            reference = _reference_expected_times(estimator)
+            for node in (*_NODES, 99):
+                expected = reference.get(node, constants.NEVER_MEET)
+                assert estimator.expected_meeting_time(node).hex() == expected.hex()
 
 
 class TestMeetingTimeEstimator:

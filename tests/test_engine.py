@@ -34,6 +34,7 @@ from repro.engine import (
     use_engine,
 )
 from repro.engine import worker as cell_worker
+from repro.engine.resilient import ResilientPool
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import (
     ProtocolSpec,
@@ -200,6 +201,51 @@ class TestExecutorBackends:
         with pytest.raises(ConfigurationError):
             Executor(workers=0)
         assert Executor(workers=1).run([]) == ([], [])
+
+
+def _interleaved(cells):
+    """The tiny grid's loads 2 and 5 alternating: (2, 5, 2, 5, ...)."""
+    light, heavy = cells[:4], cells[4:]
+    assert {c.load for c in light} == {2.0} and {c.load for c in heavy} == {5.0}
+    return [cell for pair in zip(light, heavy) for cell in pair]
+
+
+class TestHeaviestFirstDispatch:
+    def test_pool_receives_heaviest_load_first_with_stable_ties(self, tiny_grid, monkeypatch):
+        cells = tiny_grid.cells()
+        mixed = _interleaved(cells)
+        dispatched = []
+
+        def recording_imap(pool, payloads, labels=None):
+            payloads = list(payloads)
+            assert labels == [payload["spec"]["protocol"]["label"] for payload in payloads]
+            dispatched.extend(ScenarioSpec.from_dict(payload["spec"]) for payload in payloads)
+            # Settle last-dispatched first, so only the executor's mapping
+            # can put each outcome back in its submission slot.
+            for position in reversed(range(len(payloads))):
+                yield position, cell_worker.execute_cell(payloads[position]), None
+
+        monkeypatch.setattr(ResilientPool, "imap_unordered", recording_imap)
+        with Executor(workers=2) as executor:
+            outcomes, failures = executor.run(mixed)
+        assert failures == []
+        # Loads descending; equal loads keep their submission order.
+        assert dispatched == cells[4:] + cells[:4]
+        serial = _results(Executor(workers=1), mixed)
+        assert [o.result.to_dict() for o in outcomes] == [r.to_dict() for r in serial]
+
+    def test_in_process_branch_keeps_submission_order(self, tiny_grid, monkeypatch):
+        mixed = _interleaved(tiny_grid.cells())
+        ran = []
+        observe = cell_worker.observe_cell
+
+        def recording_observe(spec, observability):
+            ran.append(spec)
+            return observe(spec, observability)
+
+        monkeypatch.setattr("repro.engine.executor.observe_cell", recording_observe)
+        Executor(workers=1).run(mixed)
+        assert ran == mixed
 
 
 class TestEngineEquivalenceAndSweep:

@@ -129,6 +129,12 @@ def _sigkill_run_cell(spec, extra_options=None):
     return _RUN_CELL(spec, extra_options)
 
 
+def _light_random_run_cell(spec, extra_options=None):
+    if spec.load == 2.0 and spec.label == "random":
+        raise _CellBug(f"bug in {spec.label} at load {spec.load:g}")
+    return _RUN_CELL(spec, extra_options)
+
+
 def _slow_first_run_cell(spec, extra_options=None):
     if spec.run_index == 0:
         time.sleep(1.5)
@@ -310,7 +316,7 @@ class TestResilientPool:
 # Executor integration
 # ----------------------------------------------------------------------
 class TestResilientExecutor:
-    def _cells(self, num_runs=2):
+    def _cells(self, num_runs=2, loads=(3.0,)):
         config = SyntheticExperimentConfig(
             num_nodes=6,
             mean_inter_meeting=40.0,
@@ -326,9 +332,30 @@ class TestResilientExecutor:
         grid = ScenarioGrid(
             config=config,
             protocols=[ProtocolSpec("rapid", "rapid"), ProtocolSpec("random", "random")],
-            loads=(3.0,),
+            loads=loads,
         )
         return grid.cells()
+
+    def test_failure_names_its_submission_index(self, monkeypatch):
+        """The pool runs load 3 before load 2, but a failure still names
+        the cell's position in the submitted batch."""
+        monkeypatch.setattr(cell_worker, "run_cell", _light_random_run_cell)
+        cells = self._cells(num_runs=1, loads=(2.0, 3.0))
+        assert [(spec.load, spec.label) for spec in cells] == [
+            (2.0, "rapid"), (2.0, "random"), (3.0, "rapid"), (3.0, "random"),
+        ]
+        executor = Executor(workers=2, retries=1, backoff_base=0.0)
+        with ExperimentEngine(executor=executor) as engine, _Deadline(120):
+            outcomes, failures = executor.run(cells)
+            results = engine.run_cells(cells)
+        assert [(f.index, f.label, f.attempts) for f in failures] == [(1, "random", 2)]
+        assert outcomes[1] is None
+        assert [o.result.protocol_name for i, o in enumerate(outcomes) if i != 1] == [
+            r.protocol_name for r in results
+        ]
+        assert [(f.index, f.label) for f in engine.last_failures] == [(1, "random")]
+        plain = ExperimentEngine(workers=1).run_cells([cells[0], cells[2], cells[3]])
+        assert [r.to_dict() for r in results] == [r.to_dict() for r in plain]
 
     def test_resilient_property(self):
         """The dispatch rule: the calling process runs cells only for one
