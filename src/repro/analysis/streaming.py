@@ -1,12 +1,11 @@
 """Bounded-memory streaming result aggregation for long-horizon runs.
 
-Every run historically materialised one :class:`~repro.dtn.packet.PacketRecord`
-per packet on the :class:`~repro.dtn.results.SimulationResult`, which caps
-simulated horizons at short transients: a million-packet, week-long cell
-would hold a million record objects just to compute a handful of summary
-metrics.  This module provides the online-aggregation layer behind the
-simulator's ``result_mode="streaming"`` option: instead of records, the
-result carries a :class:`StreamingSummary` whose size is bounded by the
+A records-mode :class:`~repro.dtn.results.SimulationResult` keeps one
+record row per packet, which caps simulated horizons at short transients:
+a million-packet, week-long cell would hold a million records just to
+compute a handful of summary metrics.  This module provides the
+aggregation layer behind the simulator's ``result_mode="streaming"``
+option: instead of records, the result carries a :class:`StreamingSummary` whose size is bounded by the
 *value range* of the observed delays and a fixed window budget — never by
 the number of packets.
 
@@ -45,11 +44,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 from ..dtn.packet import Packet
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..dtn.columns import PacketOutcomes
 
 __all__ = [
     "DEFAULT_RELATIVE_ERROR",
@@ -610,39 +610,27 @@ class StreamingSummary:
 
 
 class StreamingCollector:
-    """Simulator-side accumulator that builds a :class:`StreamingSummary`.
+    """Folds one run's per-packet outcomes into a :class:`StreamingSummary`.
 
-    The simulator drives it with one call per lifecycle event:
-    :meth:`register` for every generated packet (before the event loop),
-    :meth:`on_drop` for creation-time refusals, :meth:`on_delivery` for
-    every delivery attempt (it deduplicates copies and returns whether
-    this was the first), and :meth:`on_replication` for replica
-    creations.  :meth:`finalize` seals the summary.
-
-    Deduplication uses one byte per packet (a numpy bool array indexed
-    by the shared :class:`~repro.dtn.packet_store.PacketStore` row), the
-    only per-packet state streaming mode keeps.
+    The simulator writes every packet's fate into
+    :class:`~repro.dtn.columns.PacketOutcomes` columns in both result
+    modes; a streaming run hands them to :meth:`collect` at its end.  The
+    fold registers the packets in creation order and replays the first
+    deliveries in the order they happened, so every float sum adds up in
+    event order and the summary is a pure function of the event stream.
     """
 
     def __init__(
         self,
         horizon: float,
-        num_packets: int,
-        row_of: Callable[[int], int],
-        creation_times: np.ndarray,
         relative_error: float = DEFAULT_RELATIVE_ERROR,
         window: float = DEFAULT_WINDOW_S,
         max_windows: int = DEFAULT_MAX_WINDOWS,
     ) -> None:
         self._horizon = float(horizon)
-        self._row_of = row_of
-        self._delivered = np.zeros(num_packets, dtype=bool)
         self._sketch = QuantileSketch(relative_error=relative_error)
         self._tallies: Dict[str, ClassTally] = {}
         self._windows = DeliveryRateWindows(window=window, max_windows=max_windows)
-        # A *view* of the shared PacketStore creation-time column, row
-        # aligned with the dedup array — no per-packet state duplicated.
-        self._creation_times = creation_times
 
     def _tally(self, packet: Packet) -> ClassTally:
         tally = self._tallies.get(packet.traffic_class)
@@ -651,53 +639,40 @@ class StreamingCollector:
             self._tallies[packet.traffic_class] = tally
         return tally
 
-    def register(self, packet: Packet) -> None:
-        """Account one generated packet (called for every packet upfront)."""
-        tally = self._tally(packet)
-        tally.packets += 1
-        tally.residence_sum += max(0.0, self._horizon - packet.creation_time)
-        self._windows.add_creation(packet.creation_time)
-
-    def on_drop(self, packet: Packet) -> None:
-        """Account one creation-time drop (buffer or fault refusal)."""
-        self._tally(packet).drops += 1
-
-    def on_delivery(self, packet: Packet, delivery_time: float) -> bool:
-        """Account a delivery; returns True when it was the first copy."""
-        row = self._row_of(packet.packet_id)
-        if self._delivered[row]:
-            return False
-        self._delivered[row] = True
-        delay = delivery_time - packet.creation_time
-        tally = self._tally(packet)
-        tally.delivered += 1
-        tally.delay_sum += delay
-        tally.delay_max = max(tally.delay_max, delay)
-        tally.delivered_residence_sum += max(0.0, self._horizon - packet.creation_time)
-        deadline = packet.absolute_deadline()
-        if deadline is None or delivery_time <= deadline:
-            tally.delivered_in_deadline += 1
-        self._sketch.add(max(0.0, delay))
-        self._windows.add_delivery(delivery_time)
-        return True
-
-    def on_replication(self, packet: Packet) -> None:
-        """Account one replica creation."""
-        self._tally(packet).replicas_created += 1
-
-    def is_delivered(self, packet_id: int) -> bool:
-        """Whether the packet has been delivered (for end-of-run tracing)."""
-        return bool(self._delivered[self._row_of(packet_id)])
-
-    def finalize(self) -> StreamingSummary:
-        """Seal and return the summary (computes undelivered residence)."""
-        undelivered = ~self._delivered
-        if undelivered.any():
-            creation = np.asarray(self._creation_times, dtype=np.float64)
-            residences = np.maximum(0.0, self._horizon - creation[: len(undelivered)][undelivered])
-            residence_max = float(residences.max())
-        else:
-            residence_max = 0.0
+    def collect(self, packets: Sequence[Packet], outcomes: "PacketOutcomes") -> StreamingSummary:
+        """The summary of *packets*, whose outcomes are *outcomes*' rows."""
+        horizon = self._horizon
+        residence_max = 0.0
+        for packet, delivered, drops, replicas in zip(
+            packets,
+            outcomes.delivered.tolist(),
+            outcomes.drops.tolist(),
+            outcomes.replicas_created.tolist(),
+        ):
+            residence = max(0.0, horizon - packet.creation_time)
+            tally = self._tally(packet)
+            tally.packets += 1
+            tally.residence_sum += residence
+            tally.drops += drops
+            tally.replicas_created += replicas
+            self._windows.add_creation(packet.creation_time)
+            if not delivered:
+                residence_max = max(residence_max, residence)
+        delivery_times = outcomes.delivery_time.tolist()
+        for row in outcomes.delivery_order:
+            packet = packets[row]
+            delivery_time = delivery_times[row]
+            delay = delivery_time - packet.creation_time
+            tally = self._tally(packet)
+            tally.delivered += 1
+            tally.delay_sum += delay
+            tally.delay_max = max(tally.delay_max, delay)
+            tally.delivered_residence_sum += max(0.0, horizon - packet.creation_time)
+            deadline = packet.absolute_deadline()
+            if deadline is None or delivery_time <= deadline:
+                tally.delivered_in_deadline += 1
+            self._sketch.add(max(0.0, delay))
+            self._windows.add_delivery(delivery_time)
         return StreamingSummary(
             delay_sketch=self._sketch,
             class_tallies=self._tallies,

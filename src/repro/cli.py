@@ -810,6 +810,20 @@ def _workload_params_from_args(args: argparse.Namespace, base):
     return base
 
 
+def _resolve_single_config(args: argparse.Namespace, config):
+    """:func:`_resolve_config` plus one ``--workload``/``--fault-model``.
+
+    ``run`` and ``quicksim`` apply the single named model to every cell
+    (specs resolve the model from the config when no axis is set);
+    ``sweep`` reads the same flags as comma-separated axes instead.
+    """
+    if args.workload:
+        config = config.with_workload(config.workload.with_model(args.workload))
+    if args.fault_model:
+        config = config.with_faults(config.faults.with_model(args.fault_model))
+    return _resolve_config(args, config)
+
+
 def _resolve_config(args: argparse.Namespace, config):
     """Apply the parsed CLI arguments to the base experiment *config*."""
     from dataclasses import replace
@@ -896,15 +910,7 @@ def _command_protocols() -> int:
 def _command_run(args: argparse.Namespace) -> int:
     runner_fn = EXPERIMENT_INDEX[args.exhibit]
     family = "trace" if args.exhibit in _TRACE_EXHIBITS else "synthetic"
-    config = _resolve_config(args, _config_from_args(family, args.scale, args.seed))
-    if args.workload:
-        # Exhibits pin the paper's uniform workload via the config;
-        # --workload genuinely replaces the arrival model for every cell.
-        config = config.with_workload(config.workload.with_model(args.workload))
-    if args.fault_model:
-        # A single model on `run` applies to every cell of the exhibit
-        # (specs resolve the model from the config when no axis is set).
-        config = config.with_faults(config.faults.with_model(args.fault_model))
+    config = _resolve_single_config(args, _config_from_args(family, args.scale, args.seed))
     kwargs = {"config": config}
     if family == "synthetic" and args.mobility:
         # Synthetic exhibits pin the mobility the paper's figure used;
@@ -1167,11 +1173,7 @@ def _command_quicksim(args: argparse.Namespace) -> int:
         num_runs=1,
         seed=args.seed,
     )
-    if args.workload:
-        config = config.with_workload(config.workload.with_model(args.workload))
-    if args.fault_model:
-        config = config.with_faults(config.faults.with_model(args.fault_model))
-    config = _resolve_config(args, config)
+    config = _resolve_single_config(args, config)
     spec = ScenarioSpec.for_cell(
         config,
         ProtocolSpec(args.protocol, args.protocol, {}),

@@ -1,19 +1,19 @@
 """Per-packet records as fixed-layout numpy columns.
 
-A records-mode :class:`~repro.dtn.results.SimulationResult` crosses the
-worker pipe and the result cache as a JSON-compatible header plus the
-raw bytes of the columns below, and its metrics are computed over them.
-This module owns that layout: building columns from live records or
-canonical record payloads, packing them to bytes and wrapping bytes
-without copying, concatenating, and turning rows back into payloads or
-records.
+A records-mode :class:`~repro.dtn.results.SimulationResult` holds its
+per-packet records as the columns below, crosses the worker pipe and the
+result cache as a JSON-compatible header plus their raw bytes, and
+computes its metrics over them.  This module owns that layout: the
+:class:`PacketOutcomes` a simulation writes its packets' fates into,
+building columns from those outcomes or canonical record payloads,
+packing them to bytes and wrapping bytes without copying, concatenating,
+and turning rows back into payloads or records.
 
-Rows follow packet creation order (the order of the record dict they
-were built from).  ``None`` is stored as NaN in the float columns and as
-:data:`NULL_INT` in the integer columns that may hold it.  The two
-per-packet fields that are almost always at their default live in sparse
-side tables keyed by row: a non-default ``traffic_class`` and a non-empty
-``extra`` dict.
+Rows follow packet creation order (the simulator's packet order).
+``None`` is stored as NaN in the float columns and as :data:`NULL_INT`
+in the integer columns that may hold it.  The two per-packet fields that
+are almost always at their default live in sparse side tables keyed by
+row: a non-default ``traffic_class`` and a non-empty ``extra`` dict.
 """
 
 from __future__ import annotations
@@ -40,6 +40,11 @@ LAYOUT: Tuple[Tuple[str, str], ...] = (
     ("replicas_created", "<i8"),
     ("drops", "<i8"),
     ("delivered", "|b1"),
+)
+#: The columns a run writes as its packets' events happen; the rest of
+#: :data:`LAYOUT` describes the packets and is known before the run.
+OUTCOME_COLUMNS: Tuple[str, ...] = (
+    "delivery_time", "delivering_node", "hop_count", "replicas_created", "drops", "delivered",
 )
 #: Bytes one row occupies across all columns.
 ROW_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in LAYOUT)
@@ -100,24 +105,9 @@ class RecordColumns:
         return cls(arrays, traffic_classes, extras)
 
     @classmethod
-    def from_records(cls, records: Iterable[PacketRecord]) -> "RecordColumns":
-        """Columns of live records, in iteration order."""
-        rows: List[tuple] = []
-        traffic_classes: Dict[int, str] = {}
-        extras: Dict[int, dict] = {}
-        for row, record in enumerate(records):
-            packet = record.packet
-            rows.append((
-                packet.packet_id, packet.source, packet.destination, packet.size,
-                packet.creation_time, packet.deadline, packet.priority,
-                record.delivery_time, record.delivering_node, record.hop_count,
-                record.replicas_created, record.drops, record.delivered,
-            ))
-            if packet.traffic_class != DEFAULT_TRAFFIC_CLASS:
-                traffic_classes[row] = packet.traffic_class
-            if record.extra:
-                extras[row] = dict(record.extra)
-        return cls._from_rows(rows, traffic_classes, extras)
+    def empty(cls) -> "RecordColumns":
+        """Columns holding no rows (what a streaming result carries)."""
+        return cls._from_rows([], {}, {})
 
     @classmethod
     def from_payloads(cls, entries: Iterable[Dict[str, object]]) -> "RecordColumns":
@@ -256,6 +246,70 @@ class RecordColumns:
             packet = Packet(**entry.pop("packet"))
             records[packet.packet_id] = PacketRecord(packet=packet, **entry)
         return records
+
+
+class PacketOutcomes:
+    """What happened to each packet of one run, written as it happens.
+
+    One row per :class:`~repro.dtn.packet_store.PacketStore` row, in the
+    :data:`LAYOUT` dtypes with ``None`` stored as in
+    :class:`RecordColumns`.  The simulator writes every drop, delivery
+    and replica here in both result modes; the modes differ only in what
+    they keep at the end: records mode these columns beside the packet
+    fields (:meth:`record_columns`), streaming mode a summary folded from
+    them.
+
+    Attributes:
+        delivery_order: Rows in the order of their first delivery, the
+            order in which streaming summaries add up delays.
+    """
+
+    __slots__ = OUTCOME_COLUMNS + ("delivery_order",)
+
+    def __init__(self, rows: int) -> None:
+        dtypes = dict(LAYOUT)
+        for name in OUTCOME_COLUMNS:
+            setattr(self, name, np.full(rows, _NULLS.get(name, 0), dtype=dtypes[name]))
+        self.delivery_order: List[int] = []
+
+    def drop(self, row: int) -> None:
+        """Count one creation-time refusal of the packet at *row*."""
+        self.drops[row] += 1
+
+    def replicate(self, row: int) -> None:
+        """Count one replica made of the packet at *row*."""
+        self.replicas_created[row] += 1
+
+    def deliver(self, row: int, time: float, node: int, hops: int) -> bool:
+        """Record a delivery; return whether it was the packet's first.
+
+        The first delivery wins: later copies change nothing, as in
+        :meth:`~repro.dtn.packet.PacketRecord.mark_delivered`.
+        """
+        if self.delivered[row]:
+            return False
+        self.delivered[row] = True
+        self.delivery_time[row] = time
+        self.delivering_node[row] = node
+        self.hop_count[row] = hops
+        self.delivery_order.append(row)
+        return True
+
+    def record_columns(self, packets: Sequence[Packet]) -> RecordColumns:
+        """The records of *packets*, one per row in order, with these outcomes."""
+        arrays = {name: getattr(self, name) for name in OUTCOME_COLUMNS}
+        for name, dtype in LAYOUT:
+            if name not in arrays:
+                values = (getattr(packet, name) for packet in packets)
+                if name in _NULLS:
+                    values = (_NULLS[name] if value is None else value for value in values)
+                arrays[name] = np.fromiter(values, dtype, len(packets))
+        traffic_classes = {
+            row: packet.traffic_class
+            for row, packet in enumerate(packets)
+            if packet.traffic_class != DEFAULT_TRAFFIC_CLASS
+        }
+        return RecordColumns(arrays, traffic_classes, {})
 
 
 def _row(row: object, rows: int) -> int:

@@ -11,7 +11,7 @@ lives in :mod:`repro.analysis`.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (analysis -> results)
 RESULT_SCHEMA_VERSION = 1
 
 #: Valid values of the simulator ``result_mode`` option: ``"records"``
-#: (the default — one :class:`PacketRecord` per packet, exact
+#: (the default — one record column row per packet, exact
 #: everything) and ``"streaming"`` (bounded-size online summaries for
 #: long-horizon runs; see :mod:`repro.analysis.streaming`).
 RESULT_MODE_RECORDS = "records"
@@ -38,27 +38,37 @@ RESULT_MODE_STREAMING = "streaming"
 RESULT_MODES = (RESULT_MODE_RECORDS, RESULT_MODE_STREAMING)
 
 
-class _Records:
-    """The :attr:`SimulationResult.records` field: records held one way.
-
-    A result holds its per-packet records either as a dict of
-    :class:`PacketRecord` (what the simulator builds) or as
-    :class:`RecordColumns` (what the worker pipe, the result cache and
-    :meth:`SimulationResult.from_dict` decode to), never both.  The first
-    read of ``records`` on a column-backed result builds the dict and
-    drops the columns, so callers that mutate records stay correct.
-    """
-
-    def __get__(self, result, owner=None):
-        if result is None:
-            return None  # the dataclass default: no records
-        held = result._held
-        if isinstance(held, RecordColumns):
-            held = result._held = held.to_records()
-        return held
-
-    def __set__(self, result, records) -> None:
-        result._held = {} if records is None else records
+#: Traffic counters of every result, in payload order.
+TRAFFIC_COUNTERS = (
+    "meetings_processed",
+    "meetings_missed",
+    "total_capacity_bytes",
+    "data_bytes",
+    "metadata_bytes",
+    "replications",
+    "deliveries",
+)
+#: Contact-layer counters, in the order of the payload's ``contact`` block.
+CONTACT_COUNTERS = (
+    "infinite_capacity_contacts",
+    "contacts_interrupted",
+    "transfers_interrupted",
+    "transfers_resumed",
+    "partial_bytes_wasted",
+)
+#: Fault-injection counters, in the order of the payload's ``faults`` block.
+FAULT_COUNTERS = (
+    "node_outages",
+    "node_downtime_s",
+    "replicas_lost_to_crashes",
+    "bytes_lost_to_crashes",
+    "contacts_missed_down",
+    "deliveries_missed_down",
+    "creations_refused_down",
+    "contact_no_shows",
+    "transfers_killed",
+    "control_exchanges_lost",
+)
 
 
 @dataclass
@@ -67,7 +77,9 @@ class SimulationResult:
 
     protocol_name: str
     duration: float
-    records: Dict[int, PacketRecord] = _Records()
+    #: The per-packet records, one row per packet in creation order;
+    #: empty in streaming mode.
+    columns: RecordColumns = field(default_factory=RecordColumns.empty)
     node_counters: Dict[int, NodeCounters] = field(default_factory=dict)
     meetings_processed: int = 0
     meetings_missed: int = 0
@@ -141,6 +153,17 @@ class SimulationResult:
                 "delay_quantile(), or re-run with result_mode='records'"
             )
 
+    @property
+    def records(self) -> Dict[int, PacketRecord]:
+        """The per-packet records keyed by packet id, in creation order.
+
+        Each read builds a fresh dict from :attr:`columns`, so mutating
+        the records it returns changes nothing in the result; there is
+        no setter.  Read it once outside a per-packet loop.  Empty in
+        streaming mode.
+        """
+        return self.columns.to_records()
+
     def record_for(self, packet_id: int) -> PacketRecord:
         self._require_records("record_for()")
         return self.records[packet_id]
@@ -157,28 +180,17 @@ class SimulationResult:
         self._require_records("undelivered_records()")
         return [r for r in self.records.values() if not r.delivered]
 
-    def _columns(self) -> RecordColumns:
-        """The records as columns: the held ones, or built from the dict.
-
-        Columns built from a dict are not kept, so later mutations of
-        the records are always seen.
-        """
-        held = self._held
-        if isinstance(held, RecordColumns):
-            return held
-        return RecordColumns.from_records(held.values())
-
     @property
     def num_packets(self) -> int:
         if self.streaming is not None:
             return self.streaming.num_packets
-        return len(self._held)
+        return len(self.columns)
 
     @property
     def num_delivered(self) -> int:
         if self.streaming is not None:
             return self.streaming.num_delivered
-        return int(np.count_nonzero(self._columns()["delivered"]))
+        return int(np.count_nonzero(self.columns["delivered"]))
 
     # ------------------------------------------------------------------
     # Headline metrics
@@ -203,10 +215,11 @@ class SimulationResult:
                 :meth:`delay_quantile`) rather than per-packet delays.
         """
         self._require_records("delays()")
-        return self._delays(self._columns(), include_undelivered).tolist()
+        return self._delays(include_undelivered).tolist()
 
-    def _delays(self, columns: RecordColumns, include_undelivered: bool) -> np.ndarray:
+    def _delays(self, include_undelivered: bool) -> np.ndarray:
         """:meth:`PacketRecord.delay` of every row that has one."""
+        columns = self.columns
         delays = columns["delivery_time"] - columns["creation_time"]
         has_delay = _has_delay(columns)
         if not include_undelivered:
@@ -232,7 +245,7 @@ class SimulationResult:
             if summary.num_delivered == 0:
                 return 0.0
             return summary.delay_sum / summary.num_delivered
-        return _mean(self._delays(self._columns(), include_undelivered))
+        return _mean(self._delays(include_undelivered))
 
     def max_delay(self, include_undelivered: bool = False) -> float:
         """Maximum delivery delay in seconds (0 when nothing qualifies).
@@ -245,7 +258,7 @@ class SimulationResult:
             if include_undelivered:
                 return max(summary.delay_max, summary.undelivered_residence_max)
             return summary.delay_max
-        values = self._delays(self._columns(), include_undelivered)
+        values = self._delays(include_undelivered)
         if not values.size:
             return 0.0
         return float(values.max())
@@ -260,7 +273,7 @@ class SimulationResult:
         """
         if self.streaming is not None:
             return self.streaming.delay_sketch.quantile(q)
-        values = self._delays(self._columns(), False)
+        values = self._delays(False)
         if not values.size:
             return 0.0
         return float(np.quantile(values, q, method="inverted_cdf"))
@@ -271,7 +284,7 @@ class SimulationResult:
             return 0.0
         if self.streaming is not None:
             return self.streaming.num_delivered_in_deadline / self.num_packets
-        return int(np.count_nonzero(_met_deadline(self._columns()))) / self.num_packets
+        return int(np.count_nonzero(_met_deadline(self.columns))) / self.num_packets
 
     # ------------------------------------------------------------------
     # Per-class metrics (multi-class traffic workloads)
@@ -281,7 +294,7 @@ class SimulationResult:
         the workload never assigned classes)."""
         if self.streaming is not None:
             return self.streaming.traffic_classes()
-        return _traffic_classes(self._columns())
+        return _traffic_classes(self.columns)
 
     def class_records(self, traffic_class: str) -> List[PacketRecord]:
         """All records of packets belonging to *traffic_class*.
@@ -320,7 +333,7 @@ class SimulationResult:
                     ),
                 }
             return breakdown
-        columns = self._columns()
+        columns = self.columns
         labels = np.full(len(columns), DEFAULT_TRAFFIC_CLASS, dtype=object)
         for row, traffic_class in columns.traffic_classes.items():
             labels[row] = traffic_class
@@ -424,7 +437,7 @@ class SimulationResult:
         keeping unprofiled payloads byte-identical to schema version 1 as
         written before timings existed.
         """
-        return self._payload(self._columns().payloads(), self._class_breakdown())
+        return self._payload(self.columns.payloads(), self._class_breakdown())
 
     def to_wire(self) -> Dict[str, object]:
         """The transport form: ``{"header", "columns"}``.
@@ -435,7 +448,7 @@ class SimulationResult:
         the packed column bytes.  This is what crosses the worker pipe and
         what the result cache stores; :meth:`from_wire` decodes it.
         """
-        columns = self._columns()
+        columns = self.columns
         return {"header": self._payload(columns.descriptor()), "columns": columns.to_bytes()}
 
     def _payload(
@@ -446,13 +459,7 @@ class SimulationResult:
             "schema": RESULT_SCHEMA_VERSION,
             "protocol_name": self.protocol_name,
             "duration": self.duration,
-            "meetings_processed": self.meetings_processed,
-            "meetings_missed": self.meetings_missed,
-            "total_capacity_bytes": self.total_capacity_bytes,
-            "data_bytes": self.data_bytes,
-            "metadata_bytes": self.metadata_bytes,
-            "replications": self.replications,
-            "deliveries": self.deliveries,
+            **{name: getattr(self, name) for name in TRAFFIC_COUNTERS},
             "records": records,
             "node_counters": {
                 str(node_id): asdict(counters)
@@ -504,49 +511,16 @@ class SimulationResult:
 
     def _contact_accounting(self) -> Optional[Dict[str, object]]:
         """The contact-layer counter block, or ``None`` when all-zero."""
-        if not (
-            self.infinite_capacity_contacts
-            or self.contacts_interrupted
-            or self.transfers_interrupted
-            or self.transfers_resumed
-            or self.partial_bytes_wasted
-        ):
-            return None
-        return {
-            "infinite_capacity_contacts": self.infinite_capacity_contacts,
-            "contacts_interrupted": self.contacts_interrupted,
-            "transfers_interrupted": self.transfers_interrupted,
-            "transfers_resumed": self.transfers_resumed,
-            "partial_bytes_wasted": self.partial_bytes_wasted,
-        }
+        return self._counter_block(CONTACT_COUNTERS)
 
     def _fault_accounting(self) -> Optional[Dict[str, object]]:
         """The fault-injection counter block, or ``None`` when all-zero."""
-        if not (
-            self.node_outages
-            or self.node_downtime_s
-            or self.replicas_lost_to_crashes
-            or self.bytes_lost_to_crashes
-            or self.contacts_missed_down
-            or self.deliveries_missed_down
-            or self.creations_refused_down
-            or self.contact_no_shows
-            or self.transfers_killed
-            or self.control_exchanges_lost
-        ):
-            return None
-        return {
-            "node_outages": self.node_outages,
-            "node_downtime_s": self.node_downtime_s,
-            "replicas_lost_to_crashes": self.replicas_lost_to_crashes,
-            "bytes_lost_to_crashes": self.bytes_lost_to_crashes,
-            "contacts_missed_down": self.contacts_missed_down,
-            "deliveries_missed_down": self.deliveries_missed_down,
-            "creations_refused_down": self.creations_refused_down,
-            "contact_no_shows": self.contact_no_shows,
-            "transfers_killed": self.transfers_killed,
-            "control_exchanges_lost": self.control_exchanges_lost,
-        }
+        return self._counter_block(FAULT_COUNTERS)
+
+    def _counter_block(self, names: Tuple[str, ...]) -> Optional[Dict[str, object]]:
+        """The named counters, or ``None`` when all are zero."""
+        block = {name: getattr(self, name) for name in names}
+        return block if any(block.values()) else None
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SimulationResult":
@@ -589,15 +563,11 @@ class SimulationResult:
         result = cls(
             protocol_name=str(data["protocol_name"]),
             duration=float(data["duration"]),
-            meetings_processed=int(data["meetings_processed"]),
-            meetings_missed=int(data["meetings_missed"]),
-            total_capacity_bytes=float(data["total_capacity_bytes"]),
-            data_bytes=float(data["data_bytes"]),
-            metadata_bytes=float(data["metadata_bytes"]),
-            replications=int(data["replications"]),
-            deliveries=int(data["deliveries"]),
+            columns=columns,
         )
-        result._held = columns
+        # Each counter keeps its default's type (int or float).
+        for name in TRAFFIC_COUNTERS:
+            setattr(result, name, type(getattr(result, name))(data[name]))
         for node_id, counters in data.get("node_counters", {}).items():
             result.node_counters[int(node_id)] = NodeCounters(**counters)
         result.timings = {
@@ -606,25 +576,11 @@ class SimulationResult:
         metrics = data.get("metrics")
         if metrics is not None:
             result.metrics = dict(metrics)
-        contact = data.get("contact")
-        if contact:
-            result.infinite_capacity_contacts = int(contact.get("infinite_capacity_contacts", 0))
-            result.contacts_interrupted = int(contact.get("contacts_interrupted", 0))
-            result.transfers_interrupted = int(contact.get("transfers_interrupted", 0))
-            result.transfers_resumed = int(contact.get("transfers_resumed", 0))
-            result.partial_bytes_wasted = float(contact.get("partial_bytes_wasted", 0.0))
-        faults = data.get("faults")
-        if faults:
-            result.node_outages = int(faults.get("node_outages", 0))
-            result.node_downtime_s = float(faults.get("node_downtime_s", 0.0))
-            result.replicas_lost_to_crashes = int(faults.get("replicas_lost_to_crashes", 0))
-            result.bytes_lost_to_crashes = float(faults.get("bytes_lost_to_crashes", 0.0))
-            result.contacts_missed_down = int(faults.get("contacts_missed_down", 0))
-            result.deliveries_missed_down = int(faults.get("deliveries_missed_down", 0))
-            result.creations_refused_down = int(faults.get("creations_refused_down", 0))
-            result.contact_no_shows = int(faults.get("contact_no_shows", 0))
-            result.transfers_killed = int(faults.get("transfers_killed", 0))
-            result.control_exchanges_lost = int(faults.get("control_exchanges_lost", 0))
+        for block, names in (("contact", CONTACT_COUNTERS), ("faults", FAULT_COUNTERS)):
+            counters = data.get(block)
+            if counters:
+                for name in names:
+                    setattr(result, name, type(getattr(result, name))(counters.get(name, 0)))
         streaming = data.get("streaming")
         if streaming is not None:
             # Imported lazily: repro.analysis imports this module, so a
@@ -668,35 +624,15 @@ class SimulationResult:
             for result in results[1:]:
                 summary.merge(result.streaming)
             merged.streaming = summary
-        columns = RecordColumns.concat([result._columns() for result in results])
+        columns = RecordColumns.concat([result.columns for result in results])
         ids, counts = np.unique(columns["packet_id"], return_counts=True)
         if ids.size != len(columns):
             duplicates = ids[counts > 1].tolist()
             raise ValueError(f"duplicate packet ids across runs: {duplicates[:5]} ...")
-        merged._held = columns
+        merged.columns = columns
         for result in results:
-            merged.meetings_processed += result.meetings_processed
-            merged.meetings_missed += result.meetings_missed
-            merged.total_capacity_bytes += result.total_capacity_bytes
-            merged.data_bytes += result.data_bytes
-            merged.metadata_bytes += result.metadata_bytes
-            merged.replications += result.replications
-            merged.deliveries += result.deliveries
-            merged.infinite_capacity_contacts += result.infinite_capacity_contacts
-            merged.contacts_interrupted += result.contacts_interrupted
-            merged.transfers_interrupted += result.transfers_interrupted
-            merged.transfers_resumed += result.transfers_resumed
-            merged.partial_bytes_wasted += result.partial_bytes_wasted
-            merged.node_outages += result.node_outages
-            merged.node_downtime_s += result.node_downtime_s
-            merged.replicas_lost_to_crashes += result.replicas_lost_to_crashes
-            merged.bytes_lost_to_crashes += result.bytes_lost_to_crashes
-            merged.contacts_missed_down += result.contacts_missed_down
-            merged.deliveries_missed_down += result.deliveries_missed_down
-            merged.creations_refused_down += result.creations_refused_down
-            merged.contact_no_shows += result.contact_no_shows
-            merged.transfers_killed += result.transfers_killed
-            merged.control_exchanges_lost += result.control_exchanges_lost
+            for name in TRAFFIC_COUNTERS + CONTACT_COUNTERS + FAULT_COUNTERS:
+                setattr(merged, name, getattr(merged, name) + getattr(result, name))
             # Profiling timings (wall seconds and call counters alike) are
             # additive across the merged runs; dropping them here would
             # lose the per-phase breakdown of multi-day sweeps.

@@ -74,6 +74,7 @@ from ..routing.base import (
     ProtocolFactory,
     RoutingProtocol,
 )
+from .columns import PacketOutcomes
 from .events import (
     ContactEndEvent,
     ContactStartEvent,
@@ -85,7 +86,7 @@ from .events import (
     PacketCreationEvent,
 )
 from .node import DeploymentNoise, Node
-from .packet import Packet, PacketRecord
+from .packet import Packet
 from .results import (
     RESULT_MODE_RECORDS,
     RESULT_MODE_STREAMING,
@@ -181,9 +182,6 @@ class Simulator:
                     "streaming_relative_error must be in (0, 1)"
                 )
         self._streaming_relative_error: Optional[float] = error
-        #: The streaming accumulator; ``None`` on the default records
-        #: path, which therefore keeps its exact pre-streaming shape.
-        self._stream = None
 
         self._rng = np.random.default_rng(seed)
         self._noise_rng = np.random.default_rng(noise.seed if noise and noise.seed is not None else seed)
@@ -293,7 +291,11 @@ class Simulator:
         # store: columns are sized once and every packet's row identity
         # exists before the first meeting kernel runs.
         context.packet_store.register_all(self.packets)
+        if len(context.packet_store) != len(self.packets):
+            raise ConfigurationError("packet ids must be unique within a simulation")
         self.context = context
+        #: Every packet's outcome, by store row: rows follow ``self.packets``.
+        self._outcomes = PacketOutcomes(len(self.packets))
         self.protocols = {
             node_id: self.protocol_factory.create(node, context)
             for node_id, node in self.nodes.items()
@@ -362,26 +364,6 @@ class Simulator:
             protocol_name=self.protocol_factory.name,
             duration=max(self.schedule.duration, 0.0),
         )
-        if self.result_mode == RESULT_MODE_STREAMING:
-            # Imported lazily: repro.analysis imports repro.dtn modules,
-            # so a top-level import here would be circular.
-            from ..analysis.streaming import StreamingCollector
-
-            store = self.context.packet_store
-            kwargs = {}
-            if self._streaming_relative_error is not None:
-                kwargs["relative_error"] = self._streaming_relative_error
-            self._stream = StreamingCollector(
-                horizon=result.duration,
-                num_packets=len(store),
-                row_of=store.row_of,
-                creation_times=store.creation_times,
-                **kwargs,
-            )
-            for packet in self.packets:
-                self._stream.register(packet)
-        else:
-            result.records = {p.packet_id: PacketRecord(p) for p in self.packets}
         self.result = result
 
         queue = self._build_events()
@@ -422,8 +404,18 @@ class Simulator:
         if observe:
             self._finalize_observability(result)
 
-        if self._stream is not None:
-            result.streaming = self._stream.finalize()
+        if self.result_mode == RESULT_MODE_STREAMING:
+            # Imported lazily: repro.analysis imports repro.dtn modules,
+            # so a top-level import here would be circular.
+            from ..analysis.streaming import StreamingCollector
+
+            kwargs = {}
+            if self._streaming_relative_error is not None:
+                kwargs["relative_error"] = self._streaming_relative_error
+            collector = StreamingCollector(horizon=result.duration, **kwargs)
+            result.streaming = collector.collect(self.packets, self._outcomes)
+        else:
+            result.columns = self._outcomes.record_columns(self.packets)
 
         for node_id, node in self.nodes.items():
             result.node_counters[node_id] = node.counters
@@ -529,19 +521,10 @@ class Simulator:
         if tracer is not None:
             # Undelivered packets whose deadline fell inside the horizon
             # expired; stamped at the horizon so traces stay time-ordered.
-            # Streaming mode answers "delivered?" from the collector's
-            # dedup bitmap, so the trace is identical in both modes.
-            stream = self._stream
-            for packet in self.packets:
+            delivered = self._outcomes.delivered
+            for row, packet in enumerate(self.packets):
                 deadline = packet.absolute_deadline()
-                if deadline is None or deadline > self._horizon:
-                    continue
-                if stream is not None:
-                    delivered = stream.is_delivered(packet.packet_id)
-                else:
-                    record = result.records.get(packet.packet_id)
-                    delivered = record is None or record.delivered
-                if not delivered:
+                if deadline is not None and deadline <= self._horizon and not delivered[row]:
                     tracer.packet_expired(packet, self._horizon)
         metrics = self.metrics
         if metrics is not None:
@@ -657,10 +640,7 @@ class Simulator:
             # stack).  Recorded as a refused creation, like a full buffer.
             self._packets_created += 1
             self.result.creations_refused_down += 1
-            if self._stream is not None:
-                self._stream.on_drop(packet)
-            else:
-                self.result.records[packet.packet_id].drops += 1
+            self._outcomes.drop(self.context.packet_store.row_of(packet.packet_id))
             tracer = self.tracer
             if tracer is not None:
                 tracer.packet_created(packet, stored=False)
@@ -671,10 +651,7 @@ class Simulator:
         if tracer is not None:
             tracer.packet_created(packet, stored=accepted)
         if not accepted:
-            if self._stream is not None:
-                self._stream.on_drop(packet)
-            else:
-                self.result.records[packet.packet_id].drops += 1
+            self._outcomes.drop(self.context.packet_store.row_of(packet.packet_id))
             return
         if self._open_contacts:
             # A packet created during an open contact becomes transferable
@@ -1077,16 +1054,9 @@ class Simulator:
         if self.noise is not None:
             delivery_time += self.noise.processing_delay
         hop_count = sender.hop_counts.get(packet.packet_id, 0) + 1
-        if self._stream is not None:
-            if self._stream.on_delivery(packet, delivery_time):
-                result.deliveries += 1
-        else:
-            record = result.records.get(packet.packet_id)
-            if record is not None:
-                already_delivered = record.delivered
-                record.mark_delivered(delivery_time, receiver.node_id, hop_count)
-                if not already_delivered:
-                    result.deliveries += 1
+        row = self.context.packet_store.row_of(packet.packet_id)
+        if self._outcomes.deliver(row, delivery_time, receiver.node_id, hop_count):
+            result.deliveries += 1
         sender.node.counters.packets_sent += 1
         sender.node.counters.bytes_sent += packet.size
         receiver.node.counters.packets_received += 1
@@ -1105,12 +1075,7 @@ class Simulator:
         self, packet: Packet, sender: RoutingProtocol, receiver: RoutingProtocol, now: float
     ) -> None:
         result = self.result
-        if self._stream is not None:
-            self._stream.on_replication(packet)
-        else:
-            record = result.records.get(packet.packet_id)
-            if record is not None:
-                record.replicas_created += 1
+        self._outcomes.replicate(self.context.packet_store.row_of(packet.packet_id))
         result.replications += 1
         sender.node.counters.packets_sent += 1
         sender.node.counters.bytes_sent += packet.size

@@ -10,6 +10,7 @@ results matters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional
 
@@ -23,6 +24,12 @@ from ..routing.registry import create_factory
 from ..traces.dieselnet import DieselNetParameters
 from ..faults import FAULT_MODEL_NAMES, FaultParameters
 from ..workloads import WORKLOAD_MODEL_NAMES, WorkloadParameters
+
+
+def _validate_positive(name: str, value: float) -> None:
+    # ``value <= 0`` alone would let nan through.
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{name} must be a positive finite number, got {value!r}")
 
 
 def _validate_contact_model(contact_model: str) -> None:
@@ -179,8 +186,7 @@ class TraceExperimentConfig:
     def __post_init__(self) -> None:
         if self.num_days < 1:
             raise ConfigurationError("num_days must be at least 1")
-        if self.load_packets_per_hour <= 0:
-            raise ConfigurationError("load must be positive")
+        _validate_positive("load", self.load_packets_per_hour)
         _validate_contact_model(self.contact_model)
         _validate_workload(self.workload)
         _validate_faults(self.faults)
@@ -302,10 +308,8 @@ class SyntheticExperimentConfig:
     def __post_init__(self) -> None:
         if self.num_nodes < 2:
             raise ConfigurationError("num_nodes must be at least 2 (a DTN needs two nodes)")
-        if self.duration <= 0:
-            raise ConfigurationError("duration must be positive")
-        if self.mean_inter_meeting <= 0:
-            raise ConfigurationError("mean_inter_meeting must be positive")
+        _validate_positive("duration", self.duration)
+        _validate_positive("mean_inter_meeting", self.mean_inter_meeting)
         _validate_mobility(self.mobility)
         if self.num_runs < 1:
             raise ConfigurationError("num_runs must be at least 1")

@@ -60,10 +60,11 @@ def batch_fairness_indices(
             buffer_capacity=config.buffer_capacity,
             seed=config.seed + index,
         )
+        records = result.records
         for batch in batches:
             delays = []
             for packet in batch:
-                record = result.records.get(packet.packet_id)
+                record = records.get(packet.packet_id)
                 delay = record.delay(horizon=result.duration) if record else None
                 if delay is not None:
                     delays.append(delay)

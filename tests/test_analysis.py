@@ -22,19 +22,18 @@ from repro.analysis.stats import (
     relative_difference,
 )
 from repro.dtn.packet import PacketFactory, PacketRecord
-from repro.dtn.results import SimulationResult
+from result_builders import result_with_records
 
 
 def make_result(delays, duration=100.0, protocol="p"):
     """Build a result whose packets were all delivered with the given delays."""
     factory = PacketFactory()
-    result = SimulationResult(protocol_name=protocol, duration=duration)
+    records = []
     for delay in delays:
-        packet = factory.create(source=0, destination=1, creation_time=0.0)
-        record = PacketRecord(packet)
+        record = PacketRecord(factory.create(source=0, destination=1, creation_time=0.0))
         record.mark_delivered(delay, node_id=1, hop_count=1)
-        result.records[packet.packet_id] = record
-    return result
+        records.append(record)
+    return result_with_records(records, protocol_name=protocol, duration=duration)
 
 
 class TestFairness:

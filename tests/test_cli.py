@@ -330,3 +330,40 @@ class TestQuicksimIsOneEngineCell:
             header(events=DECISION_EVENT_NAMES, kind="decisions", result_mode=None),
             *outcome.decisions,
         ]
+
+
+class _CellsCaptured(Exception):
+    """Raised by the patched engine once it has seen the cells to run."""
+
+
+class TestSingleModelFlags:
+    """``run`` and ``quicksim`` apply one ``--workload``/``--fault-model``
+    to every cell they run, through the same config resolution."""
+
+    COMMANDS = {
+        "run": ["run", "figure4", "--scale", "ci"],
+        "quicksim": ["quicksim", "--protocol", "random", "--nodes", "4", "--duration", "60"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_models_reach_the_cell_spec(self, command, monkeypatch):
+        from repro.engine import ExperimentEngine
+
+        cells = []
+
+        def capture(engine, specs, *args, **kwargs):
+            cells.extend(specs)
+            raise _CellsCaptured
+
+        monkeypatch.setattr(ExperimentEngine, "run_cells", capture)
+        with pytest.raises(_CellsCaptured):
+            main([*self.COMMANDS[command], "--workload", "zipf", "--fault-model", "crash"])
+        assert cells
+        assert {(spec.resolved_workload(), spec.resolved_faults()) for spec in cells} == {
+            ("zipf", "crash")
+        }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_zipf_alpha_without_zipf_model_exits_2(self, command, capsys):
+        assert main([*self.COMMANDS[command], "--zipf-alpha", "0.9"]) == 2
+        assert "--zipf-alpha" in capsys.readouterr().err

@@ -9,9 +9,10 @@ from repro.dtn.results import SimulationResult
 from repro.dtn.scheduler import EventQueue
 from repro.dtn.simulator import Simulator, run_simulation
 from repro.dtn.workload import ParallelWorkload, PoissonWorkload, single_packet_workload
-from repro.exceptions import SimulationError
+from repro.exceptions import ConfigurationError, SimulationError
 from repro.mobility.schedule import Meeting, MeetingSchedule
 from repro.routing.registry import create_factory
+from result_builders import result_with_records
 
 
 class TestEventQueue:
@@ -143,6 +144,11 @@ class TestSimulatorBasics:
         with pytest.raises(Exception):
             Simulator(tiny_schedule, packets, create_factory("epidemic"), buffer_capacity=0)
 
+    def test_duplicate_packet_ids_are_rejected(self, tiny_schedule):
+        packet = single_packet_workload(source=0, destination=2)[0]
+        with pytest.raises(ConfigurationError, match="packet ids must be unique"):
+            run_simulation(tiny_schedule, [packet, packet], create_factory("epidemic"))
+
     def test_deployment_noise_misses_meetings(self, exponential_schedule, small_workload):
         noise = DeploymentNoise(capacity_jitter=0.0, meeting_miss_probability=0.5, processing_delay=0.0, seed=1)
         result = run_simulation(
@@ -183,14 +189,13 @@ class TestSimulatorBasics:
 class TestSimulationResult:
     def _result_with_records(self):
         factory = PacketFactory()
-        result = SimulationResult(protocol_name="test", duration=100.0)
         delivered = factory.create(source=0, destination=1, creation_time=0.0, deadline=50.0)
         missed = factory.create(source=0, destination=1, creation_time=0.0, deadline=10.0)
         lost = factory.create(source=0, destination=1, creation_time=40.0)
-        result.records = {p.packet_id: PacketRecord(p) for p in (delivered, missed, lost)}
-        result.records[delivered.packet_id].mark_delivered(30.0, 1, 1)
-        result.records[missed.packet_id].mark_delivered(20.0, 1, 1)
-        return result
+        records = [PacketRecord(p) for p in (delivered, missed, lost)]
+        records[0].mark_delivered(30.0, 1, 1)
+        records[1].mark_delivered(20.0, 1, 1)
+        return result_with_records(records, protocol_name="test", duration=100.0)
 
     def test_headline_metrics(self):
         result = self._result_with_records()
@@ -221,9 +226,8 @@ class TestSimulationResult:
     def test_merge_combines_counts(self):
         a = self._result_with_records()
         factory = PacketFactory(start_id=100)
-        b = SimulationResult(protocol_name="test", duration=100.0)
         packet = factory.create(source=0, destination=1)
-        b.records = {packet.packet_id: PacketRecord(packet)}
+        b = result_with_records([PacketRecord(packet)], protocol_name="test", duration=100.0)
         merged = SimulationResult.merge([a, b])
         assert merged.num_packets == 4
 

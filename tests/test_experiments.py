@@ -109,6 +109,20 @@ class TestConfigs:
         with pytest.raises(ConfigurationError):
             TraceExperimentConfig(load_packets_per_hour=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda value: TraceExperimentConfig.ci_scale().with_load(value),
+            lambda value: SyntheticExperimentConfig(duration=value),
+            lambda value: SyntheticExperimentConfig(mean_inter_meeting=value),
+        ],
+        ids=["trace-load", "synthetic-duration", "synthetic-mean-inter-meeting"],
+    )
+    def test_configs_reject_non_finite_values(self, build, value):
+        with pytest.raises(ConfigurationError, match="positive finite"):
+            build(value)
+
     def test_trace_config_scales(self):
         paper = TraceExperimentConfig.paper_scale()
         ci = TraceExperimentConfig.ci_scale()

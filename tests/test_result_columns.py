@@ -1,11 +1,13 @@
-"""Results as columns: the wire and cache codec, lazy records, merge.
+"""Results as columns: the outcome collector, the wire and cache codec,
+records built on demand, merge.
 
-A records-mode result decoded from the worker pipe, the result cache or
-a canonical dict holds its per-packet records as numpy columns.  These
-tests pin down that nothing observable changes with the backing: the
-canonical ``to_dict()`` and every metric equal those of the dict-backed
-original exactly, and the metrics equal the per-record reference loops
-below bit for bit.
+A records-mode result holds its per-packet records as numpy columns,
+from the simulator's outcome columns to the worker pipe, the result
+cache and a canonical dict.  These tests pin down that nothing
+observable changes across those hops: the canonical ``to_dict()`` and
+every metric survive each round trip exactly, and the metrics equal the
+per-record reference loops below, run over the original records, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import units
-from repro.dtn.columns import RecordColumns
+from repro.dtn.columns import PacketOutcomes, RecordColumns
 from repro.dtn.node import NodeCounters
 from repro.dtn.packet import DEFAULT_TRAFFIC_CLASS, Packet, PacketRecord
 from repro.dtn.results import SimulationResult
 from repro.engine import ResultCache, ScenarioSpec
 from repro.engine.cache import ENTRY_SUFFIX, LEGACY_SUFFIX
 from repro.experiments.config import ProtocolSpec, SyntheticExperimentConfig
+from result_builders import result_with_records
 
 QUANTILES = (0.0, 0.1, 0.5, 0.9, 1.0)
 
@@ -55,14 +58,13 @@ def cell_spec():
 # ----------------------------------------------------------------------
 # Reference: the per-record metric loops the columns replaced
 # ----------------------------------------------------------------------
-def _reference_delays(result, include_undelivered=False):
-    horizon = result.duration if include_undelivered else None
-    values = [r.delay(horizon=horizon) for r in result.records.values()]
+def _reference_delays(records, duration, include_undelivered=False):
+    horizon = duration if include_undelivered else None
+    values = [r.delay(horizon=horizon) for r in records]
     return [value for value in values if value is not None]
 
 
-def _reference_metrics(result):
-    records = list(result.records.values())
+def _reference_metrics(records, duration):
     metrics = {
         "num_packets": len(records),
         "num_delivered": sum(1 for r in records if r.delivered),
@@ -71,7 +73,7 @@ def _reference_metrics(result):
         ),
     }
     for undelivered in (False, True):
-        values = _reference_delays(result, undelivered)
+        values = _reference_delays(records, duration, undelivered)
         metrics[f"delays{undelivered}"] = values
         metrics[f"average_delay{undelivered}"] = sum(values) / len(values) if values else 0.0
         metrics[f"max_delay{undelivered}"] = max(values) if values else 0.0
@@ -119,7 +121,7 @@ def _metrics(result):
 
 
 # ----------------------------------------------------------------------
-# Strategies: dict-backed results covering every field of the layout
+# Strategies: records covering every field of the layout, and results
 # ----------------------------------------------------------------------
 times = st.floats(min_value=0.0, max_value=1e5, allow_nan=False, allow_infinity=False)
 deadlines = st.one_of(
@@ -131,7 +133,7 @@ small_ints = st.integers(min_value=0, max_value=50)
 @st.composite
 def records_strategy(draw):
     count = draw(st.integers(min_value=0, max_value=25))
-    records = {}
+    records = []
     for packet_id in draw(
         st.lists(st.integers(min_value=0, max_value=10**9), min_size=count, max_size=count, unique=True)
     ):
@@ -156,15 +158,15 @@ def records_strategy(draw):
             record.mark_delivered(
                 creation_time + draw(times), draw(small_ints), draw(small_ints)
             )
-        records[packet_id] = record
+        records.append(record)
     return records
 
 
 @st.composite
 def results_strategy(draw):
-    result = SimulationResult(
-        protocol_name="p", duration=draw(times), records=draw(records_strategy())
-    )
+    """``(records, result)``: drawn records and a result holding them."""
+    records = draw(records_strategy())
+    result = result_with_records(records, duration=draw(times))
     result.meetings_processed = draw(small_ints)
     result.replications = draw(small_ints)
     result.node_counters = {
@@ -177,7 +179,7 @@ def results_strategy(draw):
     if draw(st.booleans()):
         result.node_outages = draw(small_ints)
         result.node_downtime_s = draw(times)
-    return result
+    return records, result
 
 
 def _wire_round_trip(result):
@@ -194,11 +196,13 @@ def _cache_round_trip(result, spec, cache_dir):
 
 
 class TestColumnBackedEqualsDictBacked:
-    @given(result=results_strategy())
+    @given(drawn=results_strategy())
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_round_trips_and_metrics(self, result, cell_spec, tmp_path_factory):
-        reference = _reference_metrics(result)
+    def test_round_trips_and_metrics(self, drawn, cell_spec, tmp_path_factory):
+        records, result = drawn
+        reference = _reference_metrics(records, result.duration)
         expected = _canonical(result.to_dict())
+        assert list(result.records.values()) == records
         assert _metrics(result) == reference
         cache_dir = tmp_path_factory.mktemp("cache")
         for restored in (
@@ -214,8 +218,7 @@ class TestColumnBackedEqualsDictBacked:
 
     def test_none_fields_come_back_as_none(self):
         packet = Packet(packet_id=7, source=0, destination=1, creation_time=2.0)
-        result = SimulationResult(protocol_name="p", duration=10.0)
-        result.records = {7: PacketRecord(packet)}
+        result = result_with_records([PacketRecord(packet)], duration=10.0)
         record = _wire_round_trip(result).records[7]
         assert record.packet.deadline is None
         assert record.delivery_time is None
@@ -246,9 +249,7 @@ class TestRecordsHeldOneWay:
             Packet(packet_id=i, source=0, destination=1, creation_time=float(i), deadline=50.0)
             for i in range(3)
         ]
-        result = SimulationResult(protocol_name="p", duration=100.0)
-        result.records = {p.packet_id: PacketRecord(p) for p in packets}
-        return _wire_round_trip(result)
+        return _wire_round_trip(result_with_records([PacketRecord(p) for p in packets]))
 
     def test_metrics_read_columns_without_building_records(self, monkeypatch):
         result = self._column_backed()
@@ -261,14 +262,78 @@ class TestRecordsHeldOneWay:
         assert result.summary()["delivery_rate"] == 0.0
         assert len(result.to_dict()["records"]) == 3
 
-    def test_mutations_after_first_access_are_seen(self):
-        result = self._column_backed()
-        result.records[1].mark_delivered(11.0, 1, 2)
-        result.records[2].drops += 4
-        assert result.num_delivered == 1
-        assert result.average_delay() == 10.0
-        payload = result.to_dict()["records"]
-        assert payload[1]["delivered"] and payload[2]["drops"] == 4
+
+class TestPacketOutcomes:
+    """The collector every run writes its packets' outcomes into."""
+
+    def test_first_delivery_wins(self):
+        outcomes = PacketOutcomes(3)
+        assert outcomes.deliver(1, 10.0, 4, 2)
+        assert not outcomes.deliver(1, 20.0, 5, 3)
+        assert outcomes.deliver(0, 15.0, 6, 1)
+        assert outcomes.delivered.tolist() == [True, True, False]
+        assert outcomes.delivery_time[1] == 10.0
+        assert outcomes.delivering_node[1] == 4 and outcomes.hop_count[1] == 2
+        assert outcomes.delivery_order == [1, 0]
+
+    def test_drops_and_replicas_accumulate_per_row(self):
+        outcomes = PacketOutcomes(3)
+        for row in (2, 0, 2):
+            outcomes.drop(row)
+        for row in (1, 1, 1, 2):
+            outcomes.replicate(row)
+        assert outcomes.drops.tolist() == [1, 0, 2]
+        assert outcomes.replicas_created.tolist() == [0, 3, 1]
+
+    def test_undelivered_rows_serialize_as_none(self):
+        packets = [
+            Packet(packet_id=10 + i, source=0, destination=1, creation_time=float(i))
+            for i in range(2)
+        ]
+        outcomes = PacketOutcomes(2)
+        outcomes.deliver(0, 5.0, 1, 1)
+        result = SimulationResult(
+            protocol_name="p", duration=10.0, columns=outcomes.record_columns(packets)
+        )
+        delivered, undelivered = result.to_dict()["records"]
+        assert delivered["delivered"] and delivered["delivery_time"] == 5.0
+        assert not undelivered["delivered"]
+        assert undelivered["delivery_time"] is None
+        assert undelivered["delivering_node"] is None and undelivered["hop_count"] is None
+        assert result.records[11] == PacketRecord(packets[1])
+
+    @pytest.mark.parametrize("result_mode", ["records", "streaming"])
+    def test_deliveries_count_first_copies_when_creations_are_refused(self, result_mode):
+        from repro.dtn.simulator import run_simulation
+        from repro.faults import FaultSchedule, NodeDowntime
+        from repro.mobility.exponential import ExponentialMobility
+        from repro.dtn.workload import PoissonWorkload
+        from repro.routing.registry import create_factory
+
+        schedule = ExponentialMobility(
+            num_nodes=5, mean_inter_meeting=40.0, transfer_opportunity=50 * units.KB, seed=3
+        ).generate(240.0)
+        packets = PoissonWorkload(packets_per_hour=240.0, seed=4).generate(range(5), 240.0)
+        faults = FaultSchedule(downtimes=(NodeDowntime(node=0, start=0.0, end=120.0),))
+        result = run_simulation(
+            schedule,
+            packets,
+            create_factory("epidemic"),
+            seed=7,
+            options={"fault_schedule": faults, "result_mode": result_mode},
+        )
+        assert result.creations_refused_down > 0
+        assert result.deliveries == result.num_delivered > 0
+
+    def test_reading_records_changes_no_serialized_bytes(self, tiny_result):
+        before = (_canonical(tiny_result.to_dict()), pickle.dumps(tiny_result.to_wire()))
+        records = tiny_result.records
+        first = next(iter(records.values()))
+        first.mark_delivered(1.0, 0, 99)
+        first.drops += 7
+        assert tiny_result.records != records
+        after = (_canonical(tiny_result.to_dict()), pickle.dumps(tiny_result.to_wire()))
+        assert after == before
 
 
 class TestMerge:
@@ -277,9 +342,9 @@ class TestMerge:
             Packet(packet_id=start_id + i, source=0, destination=1, creation_time=float(i))
             for i in range(3)
         ]
-        result = SimulationResult(protocol_name="p", duration=50.0)
-        result.records = {p.packet_id: PacketRecord(p) for p in packets}
-        result.records[start_id].mark_delivered(20.0, 1, 1)
+        records = [PacketRecord(p) for p in packets]
+        records[0].mark_delivered(20.0, 1, 1)
+        result = result_with_records(records, duration=50.0)
         result.node_counters = {0: NodeCounters(packets_sent=sent, bytes_sent=1.5)}
         return result
 
@@ -288,9 +353,9 @@ class TestMerge:
         assert merged.node_counters == {0: NodeCounters(packets_sent=7, bytes_sent=3.0)}
 
     def test_column_backed_inputs_concatenate_without_records(self, monkeypatch):
-        dict_backed = [self._run(0, 3), self._run(10, 4)]
-        expected = _canonical(SimulationResult.merge(dict_backed).to_dict())
-        column_backed = [_wire_round_trip(result) for result in dict_backed]
+        built = [self._run(0, 3), self._run(10, 4)]
+        expected = _canonical(SimulationResult.merge(built).to_dict())
+        column_backed = [_wire_round_trip(result) for result in built]
 
         def _forbidden(self):  # pragma: no cover - must not run
             raise AssertionError("merge must not build PacketRecord objects")

@@ -42,6 +42,7 @@ from repro.workloads import (
     ZipfPopularity,
     build_traffic_model,
 )
+from result_builders import result_with_records
 
 
 def _canonical(payload) -> str:
@@ -197,11 +198,9 @@ def test_per_class_counts_conserve_totals(name, seed, weights):
     packets = build_traffic_model(
         params, packets_per_hour=120.0, packet_size=512, seed=seed, model=name
     ).generate(list(range(5)), 400.0)
-    result = SimulationResult(protocol_name="none", duration=400.0)
-    from repro.dtn.packet import PacketRecord
-
-    for packet in packets:
-        result.records[packet.packet_id] = PacketRecord(packet=packet)
+    result = result_with_records(
+        [PacketRecord(packet=packet) for packet in packets], protocol_name="none", duration=400.0
+    )
     summary = result.per_class_summary()
     assert sum(row["packets"] for row in summary.values()) == result.num_packets
     assert sum(row["delivered"] for row in summary.values()) == result.num_delivered
@@ -512,8 +511,7 @@ class TestWorkloadCLI:
 # ----------------------------------------------------------------------
 def _packet_payload(packet):
     """The serialized form of *packet* inside a result's canonical dict."""
-    result = SimulationResult(protocol_name="x", duration=1.0)
-    result.records[packet.packet_id] = PacketRecord(packet=packet)
+    result = result_with_records([PacketRecord(packet=packet)], protocol_name="x", duration=1.0)
     return result.to_dict()["records"][0]["packet"]
 
 
@@ -533,8 +531,7 @@ class TestPacketClassTagging:
         )
         payload = _packet_payload(packet)
         assert payload["traffic_class"] == "news" and payload["priority"] == 3
-        result = SimulationResult(protocol_name="x", duration=1.0)
-        result.records[packet.packet_id] = PacketRecord(packet=packet)
+        result = result_with_records([PacketRecord(packet=packet)], protocol_name="x", duration=1.0)
         restored = SimulationResult.from_dict(json.loads(json.dumps(result.to_dict())))
         rebuilt = restored.records[packet.packet_id].packet
         assert rebuilt.traffic_class == "news" and rebuilt.priority == 3
