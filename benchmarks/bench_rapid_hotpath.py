@@ -12,7 +12,11 @@ Runs one buffer-constrained synthetic RAPID cell twice:
    per-step eviction rescoring.
 
 Both must produce **byte-identical** ``SimulationResult.to_dict()``
-output, and the fast path must be at least ``8x`` faster on the full
+output.  RAPID's two scoring dispatches (``choose_eviction_victim`` and
+``_candidate_scores``) each pick the array kernel or the scalar fold by
+candidate count, and the fast run must take both arms of both, so the
+identity check covers all four.  The fast path must be at least ``8x``
+faster on the full
 cell (~28k packets against 1.5 MB buffers; ``1.5x`` in ``--quick`` mode,
 whose cell is small enough for CI smoke runs).  A second stage re-runs a
 small rapid/maxprop/prophet grid through the experiment engine serially,
@@ -32,19 +36,22 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import resource
 import sys
 import time
+from collections import Counter
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 import numpy as np
 
 from repro import units
+from repro.core.rapid import RapidProtocol
 from repro.dtn.packet import Packet
 from repro.dtn.simulator import run_simulation
 from repro.dtn.workload import PoissonWorkload
@@ -65,7 +72,13 @@ FULL_SPEEDUP_FLOOR = 8.0
 QUICK_SPEEDUP_FLOOR = 1.5
 #: The hot-path cell must be a real load: at least this many packets.
 QUICK_MIN_PACKETS = 2000
+#: Quick-cell buffers: shallow enough that storage fills and evicts.
+QUICK_BUFFER_KB = 80
 FULL_MIN_PACKETS = 20000
+
+#: RAPID's scoring dispatches; each picks an arm per call in
+#: ``RapidProtocol._scalar_replica_delays``.
+SCORING_DISPATCHES = ("choose_eviction_victim", "_candidate_scores")
 
 #: Protocols whose serial / parallel / cached outputs must agree.
 IDENTITY_PROTOCOLS = ("rapid", "maxprop", "prophet")
@@ -81,11 +94,12 @@ SCALE_DURATION = 3600.0
 def _hotpath_inputs(quick: bool):
     """The buffer-constrained synthetic RAPID cell the gate times.
 
-    The quick cell keeps 600 KB buffers (~600 packets deep) against a
-    multi-megabyte offered load; the full cell raises the pressure to
-    1.5 MB buffers and ~28k packets across 8 nodes, which is where the
-    reference path's O(buffer) scans and per-step eviction rescoring
-    hurt the most.
+    The quick cell keeps 80 KB buffers (~80 packets deep) against a
+    multi-megabyte offered load, so victim choices score sets on both
+    sides of the eviction crossover; the full cell raises the pressure
+    to 1.5 MB buffers and ~28k packets across 8 nodes, which is where
+    the reference path's O(buffer) scans and per-step eviction
+    rescoring hurt the most.
     """
     if quick:
         duration = 600.0
@@ -98,7 +112,7 @@ def _hotpath_inputs(quick: bool):
         schedule = mobility.generate(duration)
         workload = PoissonWorkload(packets_per_hour=700.0, seed=4)
         packets = workload.generate(list(range(6)), duration)
-        return schedule, packets, 600 * units.KB
+        return schedule, packets, QUICK_BUFFER_KB * units.KB
     duration = 1200.0
     mobility = ExponentialMobility(
         num_nodes=8,
@@ -133,6 +147,30 @@ def _run_hotpath_cell(quick: bool, slow: bool) -> Tuple[Dict[str, object], float
         os.environ.pop(ENV_SLOW_ESTIMATES, None)
         if previous is not None:
             os.environ[ENV_SLOW_ESTIMATES] = previous
+
+
+@contextlib.contextmanager
+def _count_scoring_arms() -> Iterator[Counter]:
+    """Count the calls each arm of each scoring dispatch served.
+
+    Keys are ``(dispatch, "kernel" | "scalar")``, the dispatch being the
+    method that asked for the arm.  A lone eviction candidate is taken
+    without scoring and counts for neither arm.
+    """
+    counts: Counter = Counter()
+    pick_arm = RapidProtocol._scalar_replica_delays
+
+    def counted(self, candidates, now, kernel_min):
+        delays = pick_arm(self, candidates, now, kernel_min)
+        dispatch = sys._getframe(1).f_code.co_name
+        counts[dispatch, "kernel" if delays is None else "scalar"] += 1
+        return delays
+
+    RapidProtocol._scalar_replica_delays = counted
+    try:
+        yield counts
+    finally:
+        RapidProtocol._scalar_replica_delays = pick_arm
 
 
 def _canonical(payloads: List[Dict[str, object]]) -> str:
@@ -266,7 +304,8 @@ def run_gate(
     quick: bool, cache_dir: Optional[Path] = None, scale: bool = False
 ) -> Dict[str, object]:
     """Run the full gate; return the BENCH payload (raises on regression)."""
-    fast_payload, fast_s, num_packets = _run_hotpath_cell(quick, slow=False)
+    with _count_scoring_arms() as arms:
+        fast_payload, fast_s, num_packets = _run_hotpath_cell(quick, slow=False)
     slow_payload, slow_s, _ = _run_hotpath_cell(quick, slow=True)
 
     min_packets = QUICK_MIN_PACKETS if quick else FULL_MIN_PACKETS
@@ -276,6 +315,17 @@ def run_gate(
     assert _canonical([fast_payload]) == _canonical([slow_payload]), (
         "fast path output differs from the REPRO_SLOW_ESTIMATES reference"
     )
+    scoring_arms = {
+        name: {arm: arms[name, arm] for arm in ("kernel", "scalar")}
+        for name in SCORING_DISPATCHES
+    }
+    missing = [
+        f"{name}/{arm}"
+        for name, taken in scoring_arms.items()
+        for arm, calls in taken.items()
+        if not calls
+    ]
+    assert not missing, f"the fast run never took these scoring arms: {missing}"
     speedup = slow_s / fast_s if fast_s > 0 else float("inf")
 
     if cache_dir is None:
@@ -290,12 +340,13 @@ def run_gate(
     payload = {
         "mode": "quick" if quick else "full",
         "packets": num_packets,
-        "buffer_kb": 600 if quick else 1500,
+        "buffer_kb": QUICK_BUFFER_KB if quick else 1500,
         "fast_wall_time_s": round(fast_s, 6),
         "reference_wall_time_s": round(slow_s, 6),
         "speedup": round(speedup, 3),
         "speedup_floor": floor,
         "bit_identical_to_reference": True,
+        "scoring_arms": scoring_arms,
         "identity_check": identity,
     }
     if scale:

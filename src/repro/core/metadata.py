@@ -302,8 +302,11 @@ class MetadataStore:
         count = len(fresh)
         self._grow(count)
         free = self._free
-        fresh_slots = free[: -count - 1 : -1]
+        slot_list = free[: -count - 1 : -1]
         del free[-count:]
+        # The holder maps take the Python ints; every column write indexes
+        # through one int64 array, not the list.
+        fresh_slots = np.array(slot_list, dtype=np.int64)
         slots[fresh] = fresh_slots
         fresh_ids = ids.tolist()
         seq_of = self._seq_of
@@ -314,7 +317,7 @@ class MetadataStore:
             slots_of.update((packet_id, {}) for packet_id in new_ids)
             self._next_seq += len(new_ids)
         entries = map(slots_of.__getitem__, fresh_ids)
-        deque(map(dict.__setitem__, entries, holders.tolist(), fresh_slots), 0)
+        deque(map(dict.__setitem__, entries, holders.tolist(), slot_list), 0)
         seqs = np.fromiter(map(seq_of.__getitem__, fresh_ids), dtype=np.int64, count=count)
         orders = np.arange(self._next_order, self._next_order + count)
         self._next_order += count

@@ -49,6 +49,12 @@ _GLOBAL_ACKS_KEY = "rapid_global_acks"
 #: Marginal utilities below this threshold do not justify replication.
 _MIN_MARGINAL_UTILITY = 1e-12
 
+#: Candidate counts from which the array kernels score a set faster than
+#: the scalar fold (per-call timings in ``docs/performance.md``): below
+#: them a kernel call costs more in numpy set-up than it saves.
+_EVICTION_KERNEL_MIN = 20
+_RANK_KERNEL_MIN = 24
+
 
 class RapidProtocol(RoutingProtocol):
     """Per-node RAPID instance.
@@ -120,6 +126,9 @@ class RapidProtocol(RoutingProtocol):
         registry[self.node_id] = self
         self._registry = registry
         self._global_acks: Set[int] = context.options.setdefault(_GLOBAL_ACKS_KEY, set())
+        #: ``(packet, sender, time, d_self, d_sender)`` of the replica just
+        #: accepted, for the sender's :meth:`on_replica_sent`.
+        self._accepted_estimates: Optional[Tuple[int, int, float, float, float]] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -145,14 +154,16 @@ class RapidProtocol(RoutingProtocol):
 
     @property
     def _vector_rank(self) -> bool:
-        """Whether the whole-meeting array kernels apply to this metric.
+        """Whether the whole-meeting array kernels may score for this metric.
 
         Only the plain average-delay metric (the default) has exact
         vectorised counterparts of its fold; other metrics, subclasses and
         wrapped/instrumented metrics keep the scalar scoring so customised
-        utilities cannot silently diverge from the kernels.  Evaluated per
-        call because tests (and callers) may swap ``self.metric`` at run
-        time.
+        utilities cannot silently diverge from the kernels.  Even then the
+        kernels score only sets of at least ``_EVICTION_KERNEL_MIN`` or
+        ``_RANK_KERNEL_MIN`` candidates (:meth:`_scalar_replica_delays`).
+        Evaluated per call because tests (and callers) may swap
+        ``self.metric`` at run time.
         """
         return type(self.metric) is AverageDelayMetric
 
@@ -301,10 +312,14 @@ class RapidProtocol(RoutingProtocol):
         Both ranking paths share this scoring; they differ only in how the
         order is materialised (eager sort vs. lazy heap).  The fast path
         computes each participant's direct-delivery delays for all
-        candidates in one pass (:meth:`_direct_delays_for_holder`); the
-        reference path (``REPRO_SLOW_ESTIMATES=1``) and the global-channel
-        oracle — whose per-replica estimates depend on every holder's live
-        buffer — use the original per-packet scalar calls.
+        candidates in one pass (:meth:`_direct_delays_for_holder`), then
+        picks an arm by candidate count (:meth:`_scalar_replica_delays`):
+        the array kernel (:meth:`_rank_score_arrays`) from
+        ``_RANK_KERNEL_MIN`` candidates on, the scalar fold below it.  Both
+        arms give the same ranks and audit.  The reference path
+        (``REPRO_SLOW_ESTIMATES=1``) and the global-channel oracle — whose
+        per-replica estimates depend on every holder's live buffer — use
+        the original per-packet scalar calls.
         """
         candidates = self.transferable_packets(peer)
         use_max_delay = isinstance(self.metric, MaximumDelayMetric)
@@ -322,57 +337,89 @@ class RapidProtocol(RoutingProtocol):
             self._audit_replication_rank(peer, now, candidates, scored, marginals)
             return scored
 
-        own_delays = self._direct_delays_for_holder(self, candidates, now)
-        peer_delays = self._direct_delays_for_holder(peer, candidates, now)
-        if self._vector_rank:
-            # Whole-meeting array kernel: fold the per-replica rates, the
-            # before/after combined delays and the marginal utilities for
-            # every candidate in a handful of numpy passes.  Each element
-            # is bit-identical to the scalar rank (the golden tests hold
-            # the fast path to the REPRO_SLOW_ESTIMATES=1 reference).
-            rate, degenerate = self._fold_replica_rates(candidates, own_delays)
-            before = delay_module.combined_remaining_delay_array(rate, degenerate)
-            rate_after, degenerate_after = delay_module.fold_extra_delay(
-                rate, degenerate, peer_delays
-            )
-            after = delay_module.combined_remaining_delay_array(
-                rate_after, degenerate_after
-            )
-            marginal = self.metric.marginal_utility_array(before, after, now)
-            improves = marginal > _MIN_MARGINAL_UTILITY
-            store = self.buffer.store
-            rows = store.rows_for(candidates)
-            ages = np.maximum(0.0, now - store.creation_times[rows])
-            keys = np.where(improves, marginal / store.sizes[rows], ages)
-            recorder = self.context.decisions
-            if recorder is not None:
-                # The kernel outputs are handed over wholesale (one
-                # tolist() each inside the recorder) — the audit adds no
-                # per-candidate arithmetic to the scoring pass.
-                recorder.replication_rank(
-                    self.node_id,
-                    peer.node_id,
-                    now,
-                    self.name,
-                    candidates=[p.packet_id for p in candidates],
-                    score=keys,
-                    marginal=marginal,
-                    improves=improves,
-                )
-            return [
-                ((1 if improves[index] else 0, keys[index]), index, packet)
-                for index, packet in enumerate(candidates)
-            ]
-
-        for index, packet in enumerate(candidates):
-            delays_before: List[float] = [float(own_delays[index])]
-            delays_before.extend(self.metadata.estimates(packet.packet_id, self.node_id))
-            extra = float(peer_delays[index])
+        delay_lists = self._scalar_replica_delays(candidates, now, _RANK_KERNEL_MIN)
+        if delay_lists is None:
+            return self._rank_score_arrays(peer, candidates, now)
+        peer_delays = self._direct_delays_for_holder(peer, candidates, now).tolist()
+        for index, (packet, delays_before, extra) in enumerate(
+            zip(candidates, delay_lists, peer_delays)
+        ):
             rank, marginal = self._rank_key(packet, delays_before, extra, now, use_max_delay)
             scored.append((rank, index, packet))
             marginals.append(marginal)
         self._audit_replication_rank(peer, now, candidates, scored, marginals)
         return scored
+
+    def _rank_score_arrays(
+        self, peer: "RapidProtocol", candidates: Sequence[Packet], now: float
+    ) -> List[Tuple[Tuple[int, float], int, Packet]]:
+        """The kernel arm of :meth:`_candidate_scores` (average delay only).
+
+        Folds the per-replica rates, the before/after combined delays and
+        the marginal utilities of every candidate in a handful of numpy
+        passes.  Each element is bit-identical to the scalar rank (the
+        golden tests hold the fast path to the ``REPRO_SLOW_ESTIMATES=1``
+        reference).
+        """
+        own_delays = self._direct_delays_for_holder(self, candidates, now)
+        peer_delays = self._direct_delays_for_holder(peer, candidates, now)
+        rate, degenerate = self._fold_replica_rates(candidates, own_delays)
+        before = delay_module.combined_remaining_delay_array(rate, degenerate)
+        rate_after, degenerate_after = delay_module.fold_extra_delay(
+            rate, degenerate, peer_delays
+        )
+        after = delay_module.combined_remaining_delay_array(rate_after, degenerate_after)
+        marginal = self.metric.marginal_utility_array(before, after, now)
+        improves = marginal > _MIN_MARGINAL_UTILITY
+        store = self.buffer.store
+        rows = store.rows_for(candidates)
+        ages = np.maximum(0.0, now - store.creation_times[rows])
+        keys = np.where(improves, marginal / store.sizes[rows], ages)
+        recorder = self.context.decisions
+        if recorder is not None:
+            # The kernel outputs are handed over wholesale (one tolist()
+            # each inside the recorder) — the audit adds no per-candidate
+            # arithmetic to the scoring pass.
+            recorder.replication_rank(
+                self.node_id,
+                peer.node_id,
+                now,
+                self.name,
+                candidates=[p.packet_id for p in candidates],
+                score=keys,
+                marginal=marginal,
+                improves=improves,
+            )
+        return [
+            ((1 if improves[index] else 0, keys[index]), index, packet)
+            for index, packet in enumerate(candidates)
+        ]
+
+    def _scalar_replica_delays(
+        self, candidates: Sequence[Packet], now: float, kernel_min: int
+    ) -> Optional[List[List[float]]]:
+        """Pick the scoring arm for *candidates*, all in this node's buffer.
+
+        Returns ``None`` for the array-kernel arm: a metric with kernels
+        (:attr:`_vector_rank`) and at least *kernel_min* candidates.
+        Otherwise runs the first step of the scalar arm and returns each
+        candidate's ``[own, *other holders]`` delays in the order
+        :meth:`replica_delays` lists them: one own-delay pass
+        (:meth:`_direct_delays_for_holder`), then the metadata estimates
+        in holder order, ready for ``combined_remaining_delay`` and the
+        metric's scalar fold.  A kernel call costs tens of microseconds
+        of numpy set-up, so small sets score faster one by one.
+        """
+        if self._vector_rank and len(candidates) >= kernel_min:
+            return None
+        estimates = self.metadata.estimates
+        node_id = self.node_id
+        return [
+            [own, *estimates(packet.packet_id, node_id)]
+            for own, packet in zip(
+                self._direct_delays_for_holder(self, candidates, now).tolist(), candidates
+            )
+        ]
 
     def _audit_replication_rank(
         self,
@@ -514,22 +561,30 @@ class RapidProtocol(RoutingProtocol):
     def accept_replica(self, packet: Packet, sender: RoutingProtocol, now: float) -> bool:
         accepted = super().accept_replica(packet, sender, now)
         if accepted:
-            self.metadata.update_replica(
-                packet, self.node_id, self.own_delay_estimate(packet, now), now
-            )
+            own = self.own_delay_estimate(packet, now)
+            self.metadata.update_replica(packet, self.node_id, own, now)
             if isinstance(sender, RapidProtocol):
-                self.metadata.update_replica(
-                    packet, sender.node_id, sender.own_delay_estimate(packet, now), now
-                )
+                theirs = sender.own_delay_estimate(packet, now)
+                self.metadata.update_replica(packet, sender.node_id, theirs, now)
+                if not self._use_oracle:
+                    # The sender's on_replica_sent follows with nothing in
+                    # between that moves either estimate: hand it the pair.
+                    self._accepted_estimates = (packet.packet_id, sender.node_id, now, own, theirs)
         return accepted
 
     def on_replica_sent(self, packet: Packet, peer: RoutingProtocol, now: float) -> None:
         if isinstance(peer, RapidProtocol):
-            estimate = self._estimate_for_holder(peer, packet, now)
+            handed = peer._accepted_estimates
+            peer._accepted_estimates = None
+            if handed is not None and handed[:3] == (packet.packet_id, self.node_id, now):
+                _, _, _, estimate, own = handed
+            else:
+                estimate = self._estimate_for_holder(peer, packet, now)
+                own = self.own_delay_estimate(packet, now)
             self.metadata.update_replica(packet, peer.node_id, estimate, now)
-        self.metadata.update_replica(
-            packet, self.node_id, self.own_delay_estimate(packet, now), now
-        )
+        else:
+            own = self.own_delay_estimate(packet, now)
+        self.metadata.update_replica(packet, self.node_id, own, now)
 
     def learn_ack(self, packet_id: int, now: Optional[float]) -> None:
         super().learn_ack(packet_id, now)
@@ -549,6 +604,17 @@ class RapidProtocol(RoutingProtocol):
         self.metadata.remove_replica(packet.packet_id, self.node_id)
 
     def choose_eviction_victim(self, incoming: Packet, now: float) -> Optional[int]:
+        """The lowest-scoring evictable packet, or ``None`` to refuse *incoming*.
+
+        The candidates are scored on the arm their count picks
+        (:meth:`_scalar_replica_delays`): the array kernel
+        (:meth:`_eviction_score_array`) from ``_EVICTION_KERNEL_MIN`` on,
+        the scalar fold below it.  A lone candidate is taken unscored
+        unless a decision recorder wants its score.  The global-channel
+        oracle and ``REPRO_SLOW_ESTIMATES=1`` score with the per-packet
+        reference loop.  Every path evicts the first minimum and records
+        the same audit event.
+        """
         recorder = self.context.decisions
         reason = "lowest_score"
         candidates = [
@@ -579,12 +645,7 @@ class RapidProtocol(RoutingProtocol):
                     )
                 return None
             reason = "own_fallback_lowest_score"
-        if self._vector_rank and not (self._use_oracle or self._slow_reference):
-            # argmin takes the first minimum, as the scalar loop's strict
-            # ``<`` does.
-            audit_scores = self._eviction_score_array(candidates, now)
-            victim_id = candidates[int(np.argmin(audit_scores))].packet_id
-        else:
+        if self._use_oracle or self._slow_reference:
             best_score: Optional[float] = None
             audit_scores = []
             for packet in candidates:
@@ -594,6 +655,25 @@ class RapidProtocol(RoutingProtocol):
                 if best_score is None or score < best_score:
                     best_score = score
                     victim_id = packet.packet_id
+        elif len(candidates) == 1 and recorder is None:
+            # A lone candidate is the victim whatever its score.
+            return candidates[0].packet_id
+        else:
+            delay_lists = self._scalar_replica_delays(candidates, now, _EVICTION_KERNEL_MIN)
+            if delay_lists is None:
+                audit_scores = self._eviction_score_array(candidates, now)
+                lowest = int(np.argmin(audit_scores))
+            else:
+                score = self.metric.eviction_score
+                combined = delay_module.combined_remaining_delay
+                audit_scores = [
+                    score(packet, combined(delays), now)
+                    for packet, delays in zip(candidates, delay_lists)
+                ]
+                lowest = min(range(len(candidates)), key=audit_scores.__getitem__)
+            # Both arms take the first minimum, as the reference loop's
+            # strict ``<`` does.
+            victim_id = candidates[lowest].packet_id
         if recorder is not None:
             recorder.eviction_choice(
                 self.node_id, now, self.name, incoming.packet_id,
@@ -604,6 +684,10 @@ class RapidProtocol(RoutingProtocol):
 
     def _eviction_score_array(self, candidates: List[Packet], now: float) -> np.ndarray:
         """Eviction scores of all *candidates* in one array-kernel pass.
+
+        The kernel arm of :meth:`choose_eviction_victim`, taken from
+        ``_EVICTION_KERNEL_MIN`` candidates on under the average-delay
+        metric; smaller sets take the scalar fold.
 
         Values are bit-identical to :meth:`expected_remaining_delay` +
         ``metric.eviction_score`` per packet (all candidates sit in this

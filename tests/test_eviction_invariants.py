@@ -172,6 +172,17 @@ class TestMemoFreeEviction:
         assert counting.eviction_scores == 5
         assert_protocol_consistent(x)
 
+    def test_lone_candidate_is_taken_unscored_without_a_recorder(self):
+        x, y, _ = make_rapid_pair(capacity=2048)
+        counting = _CountingMetric(x.metric)
+        x.metric = counting
+        factory = PacketFactory()
+        only = factory.create(source=3, destination=10, size=1024, creation_time=0.0)
+        assert x.accept_replica(only, y, now=0.0)
+        incoming = factory.create(source=3, destination=11, size=2048, creation_time=1.0)
+        assert x.choose_eviction_victim(incoming, 1.0) == only.packet_id
+        assert counting.eviction_scores == 0
+
     def test_kernel_cascade_matches_scalar_scores(self):
         x, y, _ = make_rapid_pair(capacity=4096)
         factory = PacketFactory()

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -221,3 +222,174 @@ def test_fold_of_unknown_packets_is_the_own_rate():
     rate, degenerate = x._fold_replica_rates(packets, np.array([4.0, math.inf, 0.0]))
     assert rate[:2].tolist() == [0.25, 0.0]
     assert degenerate.tolist() == [False, False, True]
+
+
+# ----------------------------------------------------------------------
+# Arm dispatch: kernel, scalar fold and reference give the same answers
+# ----------------------------------------------------------------------
+ARM_METRICS = ("average_delay", "deadline", "max_delay")
+#: Forces every set onto the scalar arm.
+NO_KERNEL = 10**9
+
+
+def _scoring_pair(metric, count, recorder=None):
+    """A holder with *count* relayed packets, and a peer to offer them to.
+
+    Destinations mix met, re-met and never-met nodes; sizes and creation
+    times spread the queue positions and (under the deadline metric)
+    leave some packets expired; other holders' records include infinite
+    and zero estimates.
+    """
+    nodes = {node: Node.with_capacity(node, float("inf")) for node in (HOLDER, PEER)}
+    context = ProtocolContext(nodes=nodes, decisions=recorder)
+    x, y = (
+        RapidProtocol(nodes[node], context, metric=metric, default_deadline=60.0)
+        for node in (HOLDER, PEER)
+    )
+    for node, when in ((2, 5.0), (3, 11.0), (4, 30.0), (2, 40.0), (5, 47.0)):
+        x.meetings.record_meeting(node, when)
+    for node, when in ((3, 8.0), (6, 20.0), (4, 33.0)):
+        y.meetings.record_meeting(node, when)
+    x.transfer_sizes.record(3, 2500.0)
+    rng = np.random.default_rng(count)
+    factory = PacketFactory()
+    for k in range(count):
+        packet = factory.create(
+            source=9,
+            destination=int(rng.integers(2, 8)),
+            size=int(rng.choice([300, 1024, 2600])),
+            creation_time=float(k),
+        )
+        assert x.insert_packet(packet, float(k), hop_count=1)
+        for holder in range(10, 10 + int(rng.integers(0, 4))):
+            estimate = [math.inf, 0.0, float(rng.uniform(1.0, 500.0))][int(rng.integers(0, 3))]
+            x.metadata.update_replica(packet, holder, estimate, float(k))
+    incoming = factory.create(source=9, destination=3, size=1024, creation_time=float(count))
+    return x, y, incoming, float(count) + 50.0
+
+
+def _run_arm(monkeypatch, arm, metric, count, site):
+    """Score one set on *arm*; return the answer and the audit lines.
+
+    ``natural`` keeps the module's crossovers; ``kernel`` and ``scalar``
+    force one arm; ``reference`` is ``REPRO_SLOW_ESTIMATES=1``.
+    """
+    from repro.core import rapid
+    from repro.observability import DecisionRecorder, MemorySink
+
+    if arm != "natural":
+        kernel_min = 0 if arm == "kernel" else NO_KERNEL
+        monkeypatch.setattr(rapid, "_EVICTION_KERNEL_MIN", kernel_min)
+        monkeypatch.setattr(rapid, "_RANK_KERNEL_MIN", kernel_min)
+    sink = MemorySink()
+    x, y, incoming, now = _scoring_pair(metric, count, DecisionRecorder(sink))
+    x._slow_reference = arm == "reference"
+    if site == "eviction":
+        answer = x.choose_eviction_victim(incoming, now)
+    else:
+        answer = [
+            (improves, float(key), index, packet.packet_id)
+            for (improves, key), index, packet in x._candidate_scores(y, now)
+        ]
+    monkeypatch.undo()
+    return answer, sink.lines()
+
+
+def _crossover(site):
+    from repro.core import rapid
+
+    return rapid._EVICTION_KERNEL_MIN if site == "eviction" else rapid._RANK_KERNEL_MIN
+
+
+@pytest.mark.parametrize("metric", ARM_METRICS)
+@pytest.mark.parametrize("site", ("eviction", "ranking"))
+@pytest.mark.parametrize("side", (-1, 0))
+def test_every_arm_scores_alike_across_the_crossover(monkeypatch, metric, site, side):
+    count = _crossover(site) + side
+    reference = _run_arm(monkeypatch, "reference", metric, count, site)
+    assert reference[0] is not None and len(reference[1]) == 1
+    for arm in ("natural", "kernel", "scalar"):
+        assert _run_arm(monkeypatch, arm, metric, count, site) == reference, arm
+
+
+@pytest.mark.parametrize("site", ("eviction", "ranking"))
+def test_the_crossover_picks_the_arm(monkeypatch, site):
+    kernel = "_eviction_score_array" if site == "eviction" else "_rank_score_arrays"
+    original = getattr(RapidProtocol, kernel)
+    calls = []
+
+    def spy(self, *args):
+        calls.append(len(args[-2]))
+        return original(self, *args)
+
+    count = _crossover(site)
+    for taken in (count - 1, count):
+        monkeypatch.setattr(RapidProtocol, kernel, spy)
+        x, y, incoming, now = _scoring_pair("average_delay", taken)
+        if site == "eviction":
+            x.choose_eviction_victim(incoming, now)
+        else:
+            x._candidate_scores(y, now)
+        monkeypatch.undo()
+    # Only the set at the crossover reached the kernel.
+    assert calls == [count]
+
+
+@pytest.mark.parametrize("metric", ARM_METRICS)
+def test_lone_candidate_with_a_recorder_keeps_its_event(monkeypatch, metric):
+    reference = _run_arm(monkeypatch, "reference", metric, 1, "eviction")
+    fast = _run_arm(monkeypatch, "natural", metric, 1, "eviction")
+    assert fast == reference
+    (line,) = fast[1]
+    assert '"ev":"eviction_choice"' in line and '"reason":"lowest_score"' in line
+
+
+# ----------------------------------------------------------------------
+# Replica estimates handed from accept_replica to on_replica_sent
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("channel", ("in-band", "global"))
+def test_sender_reuses_the_receivers_estimates(monkeypatch, channel):
+    nodes = {node: Node.with_capacity(node, float("inf")) for node in (HOLDER, PEER)}
+    context = ProtocolContext(nodes=nodes)
+    sender, receiver = (
+        RapidProtocol(nodes[node], context, control_channel=channel) for node in (HOLDER, PEER)
+    )
+    sender.meetings.record_meeting(3, 10.0)
+    receiver.meetings.record_meeting(3, 4.0)
+    factory = PacketFactory()
+    packet = factory.create(source=9, destination=3, size=700, creation_time=0.0)
+    assert sender.insert_packet(packet, 1.0, hop_count=1)
+    assert receiver.accept_replica(packet, sender, 12.0)
+    calls = []
+    original = RapidProtocol.own_delay_estimate
+    monkeypatch.setattr(
+        RapidProtocol,
+        "own_delay_estimate",
+        lambda self, *args: calls.append(self.node_id) or original(self, *args),
+    )
+    monkeypatch.setattr(
+        RapidProtocol,
+        "_estimate_for_holder",
+        lambda self, holder, *args: calls.append(holder.node_id) or original(holder, *args),
+    )
+    sender.on_replica_sent(packet, receiver, 12.0)
+    monkeypatch.undo()
+    # The global oracle recomputes both; the in-band channel reuses them.
+    assert calls == ([PEER, HOLDER] if channel == "global" else [])
+    # With two holders, excluding one leaves the other's record.
+    assert sender.metadata.estimates(packet.packet_id, exclude_holder=PEER) == [
+        sender.own_delay_estimate(packet, 12.0)
+    ]
+    assert sender.metadata.estimates(packet.packet_id, exclude_holder=HOLDER) == [
+        receiver.own_delay_estimate(packet, 12.0)
+    ]
+    # A send that this acceptance did not precede recomputes.
+    other = factory.create(source=9, destination=3, size=2900, creation_time=0.0)
+    assert sender.insert_packet(other, 1.0, hop_count=1)
+    assert receiver.accept_replica(packet, sender, 14.0) is False
+    assert receiver.accept_replica(other, sender, 14.0)
+    sender.on_replica_sent(packet, receiver, 14.0)
+    assert receiver._accepted_estimates is None
+    assert sender.metadata.estimates(packet.packet_id, exclude_holder=HOLDER) == [
+        receiver.own_delay_estimate(packet, 14.0)
+    ]
