@@ -142,8 +142,7 @@ class InBandControlChannel(ControlChannel):
     def _send_acks(self, sender, receiver, now, meta_budget: _MetadataBudget) -> None:
         new_acks = sorted(sender.acked - receiver.acked)
         sendable = meta_budget.consume_entries(len(new_acks), constants.RAPID_ACK_ENTRY_BYTES)
-        for packet_id in new_acks[:sendable]:
-            receiver.learn_ack(packet_id, now)
+        receiver.learn_acks(new_acks[:sendable], now)
 
     def _send_buffer_state(self, sender, receiver, now, meta_budget: _MetadataBudget) -> None:
         """Send the sender's own delivery-delay estimates, delta-encoded.

@@ -86,12 +86,12 @@ def delivery_rate_sum(
     Returns ``(rate, degenerate)``: the folded rates plus a boolean mask of
     rows containing a non-positive delay, for which the scalar function
     early-returns ``inf`` — callers must apply the mask (the folded value
-    of such a row is unspecified).
+    of such a row is unspecified: its non-positive delays add nothing).
     """
-    with np.errstate(divide="ignore"):
-        rate = np.bincount(rows, 1.0 / delays, count)
-    degenerate = np.bincount(rows[delays <= 0], minlength=count) > 0
-    return rate, degenerate
+    positive = delays > 0
+    inverse = np.divide(1.0, delays, out=np.zeros(len(delays)), where=positive)
+    degenerate = np.bincount(rows[~positive], minlength=count) > 0
+    return np.bincount(rows, inverse, count), degenerate
 
 
 def fold_extra_delay(
@@ -101,11 +101,12 @@ def fold_extra_delay(
 
     Appending a delay to the scalar fold's input list adds exactly one
     more ``rate += 1/d`` step, so the updated rate is bit-identical to
-    refolding the extended list from scratch.
+    refolding the extended list from scratch (a non-positive delay marks
+    its row degenerate instead).
     """
-    with np.errstate(divide="ignore"):
-        extended = rate + 1.0 / extra_delays
-    return extended, degenerate | (extra_delays <= 0)
+    positive = extra_delays > 0
+    inverse = np.divide(1.0, extra_delays, out=np.zeros(len(extra_delays)), where=positive)
+    return rate + inverse, degenerate | ~positive
 
 
 def combined_remaining_delay_array(
@@ -120,8 +121,8 @@ def combined_remaining_delay_array(
     reciprocal — including the one-replica case, where the scalar path
     computes ``1.0 / (1.0 / d)`` rather than returning ``d`` directly.
     """
-    with np.errstate(divide="ignore"):
-        combined = np.where(rate == 0.0, constants.NEVER_MEET, 1.0 / rate)
+    never = np.full(len(rate), constants.NEVER_MEET)
+    combined = np.divide(1.0, rate, out=never, where=rate != 0.0)
     return np.where(degenerate | np.isinf(rate), 0.0, combined)
 
 

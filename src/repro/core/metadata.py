@@ -275,15 +275,13 @@ class MetadataStore:
             self._allocate(fresh, slots, ids[fresh], holders[fresh])
         newer = ~(self._updated[slots] > updated)
         previous = self._estimates[slots]
-        with np.errstate(invalid="ignore"):
-            meaningful = newer & ~(
-                (previous == estimates)
-                | (
-                    (previous > 0)
-                    & (previous != _INF)
-                    & (np.abs(estimates - previous) <= tolerance * previous)
-                )
-            )
+        # Only a finite positive previous estimate bounds the drift;
+        # skipping the other rows avoids inf - inf.
+        finite = (previous > 0) & (previous != _INF)
+        drift = np.subtract(estimates, previous, out=np.zeros(len(slots)), where=finite)
+        meaningful = newer & ~(
+            (previous == estimates) | (finite & (np.abs(drift) <= tolerance * previous))
+        )
         self._changed[slots[meaningful]] = learned_at
         slots = slots[newer]
         self._estimates[slots] = estimates[newer]

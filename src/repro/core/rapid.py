@@ -171,42 +171,37 @@ class RapidProtocol(RoutingProtocol):
     # Delay estimation (the inference algorithm)
     # ------------------------------------------------------------------
     def own_delay_estimate(self, packet: Packet, now: float) -> float:
-        """This node's direct-delivery delay estimate ``d_X(i)``."""
-        expected_meeting = self.meetings.expected_meeting_time(packet.destination)
-        bytes_ahead = self.buffer.bytes_ahead_of(packet, now)
-        expected_transfer = self.transfer_sizes.expected_bytes(
-            packet.destination, default=float(packet.size)
-        )
-        return delay_module.direct_delivery_delay(
-            expected_meeting, bytes_ahead, packet.size, expected_transfer
-        )
+        """This node's delay estimate ``d_X(i)``, held or not ("if it received it now").
 
-    def _estimate_for_holder(self, holder: "RapidProtocol", packet: Packet, now: float) -> float:
-        """Delay estimate for *packet* if held (or newly received) by *holder*."""
-        expected_meeting = holder.meetings.expected_meeting_time(packet.destination)
-        bytes_ahead = holder.buffer.bytes_ahead_of(packet, now)
-        expected_transfer = holder.transfer_sizes.expected_bytes(
-            packet.destination, default=float(packet.size)
-        )
-        return delay_module.direct_delivery_delay(
-            expected_meeting, bytes_ahead, packet.size, expected_transfer
-        )
+        The scalar twin of :meth:`_direct_delays_for_holder`, bit for bit,
+        edge cases included.
+        """
+        destination = packet.destination
+        meeting = self.meetings.expected_meeting_time(destination)
+        transfer = self.transfer_sizes.expected_bytes_or_none(destination)
+        size = packet.size
+        if transfer is None:
+            transfer = size
+        if transfer > 0:
+            meetings = math.ceil((self.buffer.bytes_ahead_of(packet, now) + size) / transfer)
+            return meeting * (meetings if meetings > 1 else 1)
+        return meeting
 
     def replica_delays(self, packet: Packet, now: float) -> List[float]:
         """Per-replica delay estimates for every replica this node knows of."""
+        packet_id = packet.packet_id
         if self._use_oracle:
-            estimates = []
-            for holder in self._registry.values():
-                if packet.packet_id in holder.buffer:
-                    estimates.append(self._estimate_for_holder(holder, packet, now))
-            if not estimates and packet.packet_id in self.buffer:
+            estimates = [
+                holder.own_delay_estimate(packet, now)
+                for holder in self._registry.values()
+                if packet_id in holder.buffer.by_id
+            ]
+            if not estimates and packet_id in self.buffer.by_id:
                 estimates.append(self.own_delay_estimate(packet, now))
             return estimates
-
-        estimates: List[float] = []
-        if packet.packet_id in self.buffer:
-            estimates.append(self.own_delay_estimate(packet, now))
-        estimates.extend(self.metadata.estimates(packet.packet_id, self.node_id))
+        estimates = self.metadata.estimates(packet_id, self.node_id)
+        if packet_id in self.buffer.by_id:
+            estimates.insert(0, self.own_delay_estimate(packet, now))
         return estimates
 
     def expected_remaining_delay(self, packet: Packet, now: float) -> float:
@@ -221,14 +216,10 @@ class RapidProtocol(RoutingProtocol):
         """``U_i`` under the configured metric."""
         return self.metric.utility(packet, self.expected_remaining_delay(packet, now), now)
 
-    def peer_delay_estimate(self, packet: Packet, peer: "RapidProtocol", now: float) -> float:
-        """Estimate ``d_Y(i)`` if *packet* were replicated to *peer* now."""
-        return self._estimate_for_holder(peer, packet, now)
-
     def marginal_utility(self, packet: Packet, peer: "RapidProtocol", now: float) -> float:
         """``dU_i`` of replicating *packet* to *peer*."""
         delays_before = self.replica_delays(packet, now)
-        extra = self.peer_delay_estimate(packet, peer, now)
+        extra = peer.own_delay_estimate(packet, now)
         return self.metric.marginal_utility(packet, delays_before, extra, now)
 
     # ------------------------------------------------------------------
@@ -245,9 +236,8 @@ class RapidProtocol(RoutingProtocol):
             self.channel.exchange(self, peer, now, budget)
 
     def _purge_globally_acked(self, now: float) -> None:
-        for packet_id in list(self._global_acks):
-            if packet_id in self.buffer or packet_id in self.metadata:
-                self.learn_ack(packet_id, now)
+        held, known = self.buffer.by_id, self.metadata
+        self.learn_acks([i for i in self._global_acks if i in held or i in known], now)
 
     # ------------------------------------------------------------------
     # Protocol RAPID step 2: direct delivery
@@ -328,7 +318,7 @@ class RapidProtocol(RoutingProtocol):
         if self._slow_reference or self._use_oracle or not candidates:
             for index, packet in enumerate(candidates):
                 delays_before = self.replica_delays(packet, now)
-                extra = self.peer_delay_estimate(packet, peer, now)
+                extra = peer.own_delay_estimate(packet, now)
                 rank, marginal = self._rank_key(
                     packet, delays_before, extra, now, use_max_delay
                 )
@@ -579,17 +569,19 @@ class RapidProtocol(RoutingProtocol):
             if handed is not None and handed[:3] == (packet.packet_id, self.node_id, now):
                 _, _, _, estimate, own = handed
             else:
-                estimate = self._estimate_for_holder(peer, packet, now)
+                estimate = peer.own_delay_estimate(packet, now)
                 own = self.own_delay_estimate(packet, now)
             self.metadata.update_replica(packet, peer.node_id, estimate, now)
         else:
             own = self.own_delay_estimate(packet, now)
         self.metadata.update_replica(packet, self.node_id, own, now)
 
-    def learn_ack(self, packet_id: int, now: Optional[float]) -> None:
-        super().learn_ack(packet_id, now)
-        self.metadata.remove_packet(packet_id)
-        self._global_acks.add(packet_id)
+    def learn_acks(self, packet_ids: Sequence[int], now: Optional[float]) -> None:
+        super().learn_acks(packet_ids, now)
+        forget = self.metadata.remove_packet
+        for packet_id in packet_ids:
+            forget(packet_id)
+        self._global_acks.update(packet_ids)
 
     # ------------------------------------------------------------------
     # Storage management (Section 3.4: lowest utility evicted first)

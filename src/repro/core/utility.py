@@ -149,13 +149,12 @@ class AverageDelayMetric(UtilityMetric):
         before_inf = np.isinf(before)
         after_clipped = self.clip_delay_array(after, now)
         before_clipped = self.clip_delay_array(before, now)
-        with np.errstate(invalid="ignore"):
-            newly_deliverable = 1.0 / np.maximum(after_clipped, 1e-9)
-            reduction = np.maximum(0.0, before_clipped - after_clipped)
+        newly_deliverable = 1.0 / np.maximum(after_clipped, 1e-9)
+        # Only finite rows take the reduction; skipping the rest avoids inf - inf.
+        gain = np.subtract(before_clipped, after_clipped, out=np.zeros(len(before)), where=~before_inf)
+        reduction = np.maximum(0.0, gain)
         return np.where(
-            before_inf & np.isinf(after),
-            0.0,
-            np.where(before_inf, newly_deliverable, reduction),
+            before_inf & np.isinf(after), 0.0, np.where(before_inf, newly_deliverable, reduction)
         )
 
     def eviction_score_array(

@@ -9,14 +9,14 @@ decision and therefore belongs to the protocols, which call
 Because RAPID's delay estimator asks ``bytes_ahead_of`` for every
 candidate packet at every transfer opportunity, the buffer maintains a
 per-destination *serve-order index*: the same-destination packets sorted
-by ``(creation_time, packet_id)`` — the static serve order of Algorithm 2
-(oldest first, ties by id) — together with lazily rebuilt prefix sums of
-their sizes.  ``bytes_ahead_of`` is then one binary search instead of a
-scan over the whole buffer, and :meth:`bytes_ahead_batch` answers a whole
-meeting's worth of queries with the same binary search per packet into an
-array.  Setting ``REPRO_SLOW_ESTIMATES=1`` restores the original
-O(buffer) reference scan; both paths return identical values (the golden
-tests assert bit-identical simulation output).
+by float creation time, ids in a parallel list breaking ties — the static
+serve order of Algorithm 2 (oldest first, ties by id) — with lazily
+rebuilt prefix sums of their sizes.  ``bytes_ahead_of`` is one binary
+search (more only inside a run of equal times), with no tuple or list
+built, and :meth:`bytes_ahead_batch` answers a whole meeting's queries
+the same way into an array.  Setting ``REPRO_SLOW_ESTIMATES=1`` restores
+the original O(buffer) reference scan; both paths return identical
+values (the golden tests assert bit-identical simulation output).
 
 The buffer is also the attachment point of the structure-of-arrays
 :class:`~repro.dtn.packet_store.PacketStore`: every inserted packet is
@@ -29,7 +29,7 @@ mutation, so the meeting loop stops allocating fresh lists per call
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -44,42 +44,58 @@ from .packet_store import PacketStore
 class _DestinationQueue:
     """Serve-order index of one destination's packets.
 
-    ``keys`` holds ``(creation_time, packet_id)`` sorted ascending — the
-    exact order in which same-destination packets are served (descending
-    time-in-system, ties broken by smaller packet id).  ``sizes`` is
-    parallel to ``keys``; ``prefix`` holds its prefix sums, rebuilt
-    lazily (while ``dirty``) on the first query after a mutation, so a
-    burst of queries between meetings pays O(log n) each while
-    adds/removes stay O(n) list surgery at worst.
-    :meth:`NodeBuffer._bytes_ahead` answers every ``bytes_ahead`` query
-    from these lists; the queried key need not be stored (``bisect_left``
-    gives its insertion rank).
+    ``times`` holds the creation times sorted ascending and ``ids`` the
+    packet ids beside them, ascending within each run of equal times:
+    the serve order (descending time-in-system, ties by smaller id).
+    ``sizes`` is parallel too; ``prefix`` holds its prefix sums, rebuilt
+    lazily (``None`` after a mutation) by the first query, so a burst of
+    queries between meetings pays O(log n) each while adds/removes stay
+    O(n) list surgery at worst.
     """
 
-    __slots__ = ("keys", "sizes", "prefix", "dirty")
+    __slots__ = ("times", "ids", "sizes", "prefix")
 
     def __init__(self) -> None:
-        self.keys: List[Tuple[float, int]] = []
+        self.times: List[float] = []
+        self.ids: List[int] = []
         self.sizes: List[int] = []
-        self.prefix: List[int] = [0]
-        self.dirty = False
+        self.prefix: Optional[List[int]] = None
 
-    def __len__(self) -> int:
-        return len(self.keys)
+    def rank(self, created: float, packet_id: int) -> int:
+        """Entries served before ``(created, packet_id)``, stored or not.
 
-    def add(self, key: Tuple[float, int], size: int) -> None:
-        index = bisect_left(self.keys, key)
-        self.keys.insert(index, key)
+        Ids are bisected only past the first entry of a run of equal
+        times (a stored packet usually heads its run).
+        """
+        times = self.times
+        index = bisect_left(times, created)
+        if index < len(times) and times[index] == created and self.ids[index] < packet_id:
+            end = bisect_right(times, created, index)
+            index = bisect_left(self.ids, packet_id, index + 1, end)
+        return index
+
+    def ahead(self, created: float, packet_id: int) -> int:
+        """Bytes served before ``(created, packet_id)``."""
+        prefix = self.prefix
+        if prefix is None:
+            prefix = self.prefix = [0, *accumulate(self.sizes)]
+        return prefix[self.rank(created, packet_id)]
+
+    def add(self, created: float, packet_id: int, size: int) -> None:
+        index = self.rank(created, packet_id)
+        self.times.insert(index, created)
+        self.ids.insert(index, packet_id)
         self.sizes.insert(index, size)
-        self.dirty = True
+        self.prefix = None
 
-    def remove(self, key: Tuple[float, int]) -> None:
-        index = bisect_left(self.keys, key)
-        if index >= len(self.keys) or self.keys[index] != key:  # pragma: no cover
-            raise BufferError_(f"destination index out of sync for key {key}")
-        del self.keys[index]
+    def remove(self, created: float, packet_id: int) -> None:
+        index = self.rank(created, packet_id)
+        if index >= len(self.ids) or self.ids[index] != packet_id:  # pragma: no cover
+            raise BufferError_(f"destination index out of sync for packet {packet_id}")
+        del self.times[index]
+        del self.ids[index]
         del self.sizes[index]
-        self.dirty = True
+        self.prefix = None
 
 
 class NodeBuffer:
@@ -87,7 +103,9 @@ class NodeBuffer:
 
     The buffer tracks per-packet arrival times (used by protocols that
     prioritise by queueing order) and maintains the occupancy invariant
-    ``used_bytes <= capacity`` at all times.
+    ``used_bytes <= capacity`` at all times.  The hot per-packet paths
+    read the plain attributes :attr:`by_id` and :attr:`used_bytes`
+    directly; mutate only through :meth:`add` and :meth:`remove`.
     """
 
     #: Class-wide snapshot-cache statistics (profiling: the satellite goal
@@ -99,12 +117,14 @@ class NodeBuffer:
     def __init__(
         self, capacity: float = float("inf"), store: Optional[PacketStore] = None
     ) -> None:
-        if capacity <= 0:
+        if not capacity > 0:
             raise ValueError("buffer capacity must be positive")
         self.capacity = capacity
-        self._packets: Dict[int, Packet] = {}
+        #: Stored packets by id, in insertion order (read-only to callers).
+        self.by_id: Dict[int, Packet] = {}
         self._arrival_times: Dict[int, float] = {}
-        self._used = 0
+        #: Total size in bytes of the packets currently stored.
+        self.used_bytes = 0
         #: Lifetime high-water mark of :attr:`used_bytes` (observability:
         #: the per-node peak occupancy reported by the metrics registry).
         self._peak = 0
@@ -130,14 +150,14 @@ class NodeBuffer:
     def store(self) -> PacketStore:
         """The packet store this buffer registers into (lazily private)."""
         if self._store is None:
-            self._store = PacketStore(self._packets.values())
+            self._store = PacketStore(self.by_id.values())
         return self._store
 
     def attach_store(self, store: PacketStore) -> None:
         """Attach the (simulation-shared) store, registering current contents."""
         if store is self._store:
             return
-        store.register_all(self._packets.values())
+        store.register_all(self.by_id.values())
         self._store = store
         self._rows_snapshot = None
 
@@ -145,23 +165,18 @@ class NodeBuffer:
     # Introspection
     # ------------------------------------------------------------------
     def __contains__(self, packet_id: int) -> bool:
-        return packet_id in self._packets
+        return packet_id in self.by_id
 
     def __len__(self) -> int:
-        return len(self._packets)
+        return len(self.by_id)
 
     def __iter__(self) -> Iterator[Packet]:
         return iter(self.packets())
 
     @property
-    def used_bytes(self) -> int:
-        """Total size in bytes of the packets currently stored."""
-        return self._used
-
-    @property
     def free_bytes(self) -> float:
         """Remaining capacity in bytes."""
-        return self.capacity - self._used
+        return self.capacity - self.used_bytes
 
     @property
     def peak_used_bytes(self) -> int:
@@ -171,13 +186,13 @@ class NodeBuffer:
     @property
     def packet_ids(self) -> List[int]:
         """Identifiers of stored packets (insertion order)."""
-        return list(self._packets.keys())
+        return list(self.by_id.keys())
 
     def packets(self) -> Tuple[Packet, ...]:
         """Snapshot of stored packets (cached tuple, insertion order)."""
         snapshot = self._snapshot
         if snapshot is None:
-            snapshot = self._snapshot = tuple(self._packets.values())
+            snapshot = self._snapshot = tuple(self.by_id.values())
             NodeBuffer.snapshot_stats["builds"] += 1
         else:
             NodeBuffer.snapshot_stats["hits"] += 1
@@ -192,7 +207,7 @@ class NodeBuffer:
 
     def get(self, packet_id: int) -> Optional[Packet]:
         """Return the stored packet with *packet_id*, or ``None``."""
-        return self._packets.get(packet_id)
+        return self.by_id.get(packet_id)
 
     def arrival_time(self, packet_id: int) -> Optional[float]:
         """Return the time the packet entered this buffer, or ``None``."""
@@ -202,7 +217,7 @@ class NodeBuffer:
         """Return the fraction of capacity in use (0 when unlimited)."""
         if self.capacity == float("inf"):
             return 0.0
-        return self._used / self.capacity
+        return self.used_bytes / self.capacity
 
     # ------------------------------------------------------------------
     # Mutation
@@ -225,24 +240,24 @@ class NodeBuffer:
             BufferError_: when the packet is already present or would
                 overflow the capacity.  Callers must evict first.
         """
-        if packet.packet_id in self._packets:
+        packet_id = packet.packet_id
+        if packet_id in self.by_id:
+            raise BufferError_(f"packet {packet_id} is already buffered at this node")
+        size = packet.size
+        if size > self.capacity - self.used_bytes:
             raise BufferError_(
-                f"packet {packet.packet_id} is already buffered at this node"
-            )
-        if not self.fits(packet):
-            raise BufferError_(
-                f"packet {packet.packet_id} ({packet.size} B) does not fit: "
+                f"packet {packet_id} ({size} B) does not fit: "
                 f"{self.free_bytes:.0f} B free of {self.capacity:.0f} B"
             )
-        self._packets[packet.packet_id] = packet
-        self._arrival_times[packet.packet_id] = now
-        self._used += packet.size
-        if self._used > self._peak:
-            self._peak = self._used
+        self.by_id[packet_id] = packet
+        self._arrival_times[packet_id] = now
+        used = self.used_bytes = self.used_bytes + size
+        if used > self._peak:
+            self._peak = used
         queue = self._by_destination.get(packet.destination)
         if queue is None:
             queue = self._by_destination[packet.destination] = _DestinationQueue()
-        queue.add((packet.creation_time, packet.packet_id), packet.size)
+        queue.add(packet.creation_time, packet_id, size)
         if self._store is not None:
             self._store.register(packet)
         self._invalidate_snapshots()
@@ -253,31 +268,30 @@ class NodeBuffer:
         Raises:
             BufferError_: when no such packet is stored.
         """
-        if packet_id not in self._packets:
+        packet = self.by_id.pop(packet_id, None)
+        if packet is None:
             raise BufferError_(f"packet {packet_id} is not buffered at this node")
-        packet = self._packets.pop(packet_id)
-        self._arrival_times.pop(packet_id, None)
-        self._used -= packet.size
-        queue = self._by_destination.get(packet.destination)
-        if queue is not None:
-            queue.remove((packet.creation_time, packet.packet_id))
-            if not queue.keys:
-                del self._by_destination[packet.destination]
+        del self._arrival_times[packet_id]
+        self.used_bytes -= packet.size
+        queue = self._by_destination[packet.destination]
+        queue.remove(packet.creation_time, packet_id)
+        if not queue.ids:
+            del self._by_destination[packet.destination]
         self._invalidate_snapshots()
         return packet
 
     def discard(self, packet_id: int) -> Optional[Packet]:
         """Remove the packet if present; return it or ``None``."""
-        if packet_id in self._packets:
+        if packet_id in self.by_id:
             return self.remove(packet_id)
         return None
 
     def clear(self) -> None:
         """Remove every packet."""
-        self._packets.clear()
+        self.by_id.clear()
         self._arrival_times.clear()
         self._by_destination.clear()
-        self._used = 0
+        self.used_bytes = 0
         self._invalidate_snapshots()
 
     # ------------------------------------------------------------------
@@ -288,7 +302,7 @@ class NodeBuffer:
         cached = self._for_destination.get(destination)
         if cached is None:
             cached = tuple(
-                p for p in self._packets.values() if p.destination == destination
+                p for p in self.by_id.values() if p.destination == destination
             )
             self._for_destination[destination] = cached
             NodeBuffer.snapshot_stats["builds"] += 1
@@ -301,7 +315,7 @@ class NodeBuffer:
         cached = self._dest_snapshot
         if cached is None:
             seen: Dict[int, None] = {}
-            for packet in self._packets.values():
+            for packet in self.by_id.values():
                 seen.setdefault(packet.destination, None)
             cached = self._dest_snapshot = tuple(seen.keys())
             NodeBuffer.snapshot_stats["builds"] += 1
@@ -320,52 +334,60 @@ class NodeBuffer:
         directly.
 
         The fast path answers from the per-destination serve-order index
-        in O(log n); the reference scan remains for
+        in O(log n) without allocating; the reference scan remains for
         ``REPRO_SLOW_ESTIMATES=1`` and for the degenerate case where
         ``now`` precedes a stored packet's creation time (age clamping can
         then reorder the queue, which the static index cannot represent).
         """
-        return self._bytes_ahead((packet,), now)[0]
+        queue = self._by_destination.get(packet.destination)
+        if queue is None:
+            return 0
+        created = packet.creation_time
+        if self._slow_reference or created > now or queue.times[-1] > now:
+            return self._bytes_ahead_scan(packet, now)
+        return queue.ahead(created, packet.packet_id)
 
     def bytes_ahead_batch(self, packets: Sequence[Packet], now: float) -> np.ndarray:
         """:meth:`bytes_ahead_of` over many packets at once, as a float array.
 
         The queried packets need not reside in this buffer (the RAPID
         kernel also asks "what would the queue position be at this
-        holder" for the peer).  Each query is one binary search into its
+        holder" for the peer).  Each query is a binary search into its
         destination queue's prefix sums, so a whole meeting's queries
         cost O(C log B) with no per-call array set-up.
         """
-        return np.array(self._bytes_ahead(packets, now), dtype=np.float64)
-
-    def _bytes_ahead(self, packets: Sequence[Packet], now: float) -> List[int]:
-        """The one ``bytes_ahead`` loop behind the scalar and batched queries."""
         if self._slow_reference:
-            return [self._bytes_ahead_scan(packet, now) for packet in packets]
+            ahead = [self._bytes_ahead_scan(packet, now) for packet in packets]
+            return np.array(ahead, dtype=np.float64)
         queues = self._by_destination
-        ahead: List[int] = []
+        ahead = []
+        append = ahead.append
         for packet in packets:
             queue = queues.get(packet.destination)
-            if queue is None or not queue.keys:
-                ahead.append(0)
+            if queue is None:
+                append(0)
                 continue
-            keys = queue.keys
             created = packet.creation_time
-            if created > now or keys[-1][0] > now:
-                ahead.append(self._bytes_ahead_scan(packet, now))
+            times = queue.times
+            if created > now or times[-1] > now:
+                append(self._bytes_ahead_scan(packet, now))
                 continue
-            if queue.dirty:
-                queue.prefix = [0]
-                queue.prefix.extend(accumulate(queue.sizes))
-                queue.dirty = False
-            ahead.append(queue.prefix[bisect_left(keys, (created, packet.packet_id))])
-        return ahead
+            # _DestinationQueue.ahead, inlined: this loop runs per query.
+            prefix = queue.prefix
+            if prefix is None:
+                prefix = queue.prefix = [0, *accumulate(queue.sizes)]
+            index = bisect_left(times, created)
+            if index < len(times) and times[index] == created and queue.ids[index] < packet.packet_id:
+                end = bisect_right(times, created, index)
+                index = bisect_left(queue.ids, packet.packet_id, index + 1, end)
+            append(prefix[index])
+        return np.array(ahead, dtype=np.float64)
 
     def _bytes_ahead_scan(self, packet: Packet, now: float) -> int:
         """Reference O(buffer) implementation of :meth:`bytes_ahead_of`."""
         ahead = 0
         packet_age = packet.age(now)
-        for other in self._packets.values():
+        for other in self.by_id.values():
             if other.packet_id == packet.packet_id:
                 continue
             if other.destination != packet.destination:
@@ -382,19 +404,19 @@ class NodeBuffer:
     # ------------------------------------------------------------------
     def check_integrity(self) -> None:
         """Verify occupancy and index invariants; raise ``BufferError_`` if broken."""
-        expected_used = sum(p.size for p in self._packets.values())
-        if expected_used != self._used:
+        expected_used = sum(p.size for p in self.by_id.values())
+        if expected_used != self.used_bytes:
             raise BufferError_(
-                f"used-bytes drift: tracked {self._used}, actual {expected_used}"
+                f"used-bytes drift: tracked {self.used_bytes}, actual {expected_used}"
             )
-        if self._used > self.capacity:
+        if self.used_bytes > self.capacity:
             raise BufferError_("capacity invariant violated")
         indexed = {
             packet_id: destination
             for destination, queue in self._by_destination.items()
-            for (_, packet_id) in queue.keys
+            for packet_id in queue.ids
         }
-        stored = {p.packet_id: p.destination for p in self._packets.values()}
+        stored = {p.packet_id: p.destination for p in self.by_id.values()}
         if indexed != stored:
             missing = set(stored) - set(indexed)
             extra = set(indexed) - set(stored)
@@ -402,17 +424,18 @@ class NodeBuffer:
                 f"destination index drift: missing {sorted(missing)}, stale {sorted(extra)}"
             )
         for destination, queue in self._by_destination.items():
-            if sorted(queue.keys) != queue.keys:
+            keys = list(zip(queue.times, queue.ids))
+            if sorted(keys) != keys:
                 raise BufferError_(f"destination {destination} index is unsorted")
-            for (creation_time, packet_id), size in zip(queue.keys, queue.sizes):
-                packet = self._packets.get(packet_id)
+            for (creation_time, packet_id), size in zip(keys, queue.sizes):
+                packet = self.by_id.get(packet_id)
                 if packet is None or packet.size != size or packet.creation_time != creation_time:
                     raise BufferError_(
                         f"destination {destination} index entry for packet "
                         f"{packet_id} disagrees with the stored packet"
                     )
         if self._store is not None:
-            for packet in self._packets.values():
+            for packet in self.by_id.values():
                 if packet.packet_id not in self._store:
                     raise BufferError_(
                         f"packet {packet.packet_id} buffered but unregistered in store"

@@ -136,8 +136,8 @@ class Simulator:
         noise: Optional[DeploymentNoise] = None,
         options: Optional[Dict[str, object]] = None,
     ) -> None:
-        if buffer_capacity <= 0:
-            raise ConfigurationError("buffer_capacity must be positive")
+        if not buffer_capacity > 0:
+            raise ConfigurationError(f"buffer_capacity must be positive, got {buffer_capacity!r}")
         self.schedule = schedule
         self.packets = sorted(packets, key=lambda p: p.creation_time)
         self.protocol_factory = protocol_factory
@@ -963,8 +963,9 @@ class Simulator:
         session = state.session
         progress = self._partial_progress
         for sender, receiver in ((state.x, state.y), (state.y, state.x)):
+            held = sender.buffer.by_id
             for packet in sender.direct_delivery_order(receiver.node_id, now):
-                if packet.packet_id not in sender.buffer:
+                if packet.packet_id not in held:
                     continue
                 remaining_size = (
                     self._remaining_size(sender, receiver, packet)
@@ -1015,10 +1016,11 @@ class Simulator:
         """Pull candidates until one transfer completes; return success."""
         session = state.session
         progress = self._partial_progress
+        held = sender.buffer.by_id
+        peer_held = receiver.buffer.by_id
         for packet in generator:
-            if packet.packet_id not in sender.buffer:
-                continue
-            if packet.packet_id in receiver.buffer:
+            packet_id = packet.packet_id
+            if packet_id not in held or packet_id in peer_held:
                 continue
             remaining_size = (
                 self._remaining_size(sender, receiver, packet) if progress else float(packet.size)

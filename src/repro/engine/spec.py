@@ -144,6 +144,10 @@ class ScenarioSpec:
             )
         if self.run_index < 0:
             raise ConfigurationError("run_index must be non-negative")
+        if self.buffer_capacity is not None and not self.buffer_capacity > 0:
+            raise ConfigurationError(
+                f"buffer_capacity must be positive, got {self.buffer_capacity!r}"
+            )
         if self.contact_model is not None and self.contact_model not in CONTACT_MODELS:
             raise ConfigurationError(
                 f"unknown contact_model {self.contact_model!r}; "

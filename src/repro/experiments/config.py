@@ -32,6 +32,12 @@ def _validate_positive(name: str, value: float) -> None:
         raise ConfigurationError(f"{name} must be a positive finite number, got {value!r}")
 
 
+def _validate_buffer_capacity(value: float) -> None:
+    # ``value <= 0`` alone would let nan through; ``inf`` means unlimited.
+    if not value > 0:
+        raise ConfigurationError(f"buffer_capacity must be positive, got {value!r}")
+
+
 def _validate_contact_model(contact_model: str) -> None:
     if contact_model not in CONTACT_MODELS:
         raise ConfigurationError(
@@ -187,6 +193,7 @@ class TraceExperimentConfig:
         if self.num_days < 1:
             raise ConfigurationError("num_days must be at least 1")
         _validate_positive("load", self.load_packets_per_hour)
+        _validate_buffer_capacity(self.buffer_capacity)
         _validate_contact_model(self.contact_model)
         _validate_workload(self.workload)
         _validate_faults(self.faults)
@@ -310,6 +317,7 @@ class SyntheticExperimentConfig:
             raise ConfigurationError("num_nodes must be at least 2 (a DTN needs two nodes)")
         _validate_positive("duration", self.duration)
         _validate_positive("mean_inter_meeting", self.mean_inter_meeting)
+        _validate_buffer_capacity(self.buffer_capacity)
         _validate_mobility(self.mobility)
         if self.num_runs < 1:
             raise ConfigurationError("num_runs must be at least 1")

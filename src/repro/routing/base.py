@@ -22,7 +22,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -59,11 +59,6 @@ class TransferBudget:
     capacity: float
     data_bytes: float = 0.0
     metadata_bytes: float = 0.0
-
-    @property
-    def used(self) -> float:
-        """Bytes consumed so far (data plus metadata)."""
-        return self.data_bytes + self.metadata_bytes
 
     @property
     def remaining(self) -> float:
@@ -264,15 +259,6 @@ class ProtocolContext:
     #: store row is one global identity all array kernels can index with.
     packet_store: "PacketStore" = field(default_factory=_default_packet_store)
 
-    @property
-    def num_nodes(self) -> int:
-        """Number of nodes participating in the simulation."""
-        return len(self.nodes)
-
-    def node_ids(self) -> List[int]:
-        """Sorted node identifiers of the simulation."""
-        return sorted(self.nodes)
-
 
 class RoutingProtocol(abc.ABC):
     """Per-node routing protocol instance.
@@ -292,29 +278,20 @@ class RoutingProtocol(abc.ABC):
     def __init__(self, node: Node, context: ProtocolContext) -> None:
         self.node = node
         self.context = context
+        #: Identifier of the node this protocol instance runs on.
+        self.node_id: int = node.node_id
+        #: The node's packet buffer (:class:`~repro.dtn.buffer.NodeBuffer`).
+        self.buffer = node.buffer
         # Share one structure-of-arrays packet store per simulation: all
         # buffers register into it, so any holder's array kernels can
         # index any packet's columns by its store row.
-        node.buffer.attach_store(context.packet_store)
+        self.buffer.attach_store(context.packet_store)
         #: Packet ids this node knows to have been delivered.
         self.acked: Set[int] = set()
         #: Hops traversed by the local replica of each buffered packet.
         self.hop_counts: Dict[int, int] = {}
         #: Drops due to storage pressure (reported per node).
         self.storage_drops: int = 0
-
-    # ------------------------------------------------------------------
-    # Identity helpers
-    # ------------------------------------------------------------------
-    @property
-    def node_id(self) -> int:
-        """Identifier of the node this protocol instance runs on."""
-        return self.node.node_id
-
-    @property
-    def buffer(self):
-        """The node's packet buffer (:class:`~repro.dtn.buffer.NodeBuffer`)."""
-        return self.node.buffer
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(node={self.node_id})"
@@ -324,8 +301,7 @@ class RoutingProtocol(abc.ABC):
     # ------------------------------------------------------------------
     def on_packet_created(self, packet: Packet, now: float) -> bool:
         """Buffer a packet generated at this node; return True on success."""
-        inserted = self.insert_packet(packet, now, hop_count=0)
-        return inserted
+        return self.insert_packet(packet, now, hop_count=0)
 
     def on_meeting_start(self, peer: "RoutingProtocol", now: float) -> None:
         """Called when a contact with *peer* opens (before any exchange).
@@ -367,22 +343,33 @@ class RoutingProtocol(abc.ABC):
             budget.charge_metadata(sendable * entry_bytes)
         else:
             sendable = len(new_acks)
-        for packet_id in sorted(new_acks)[:sendable]:
-            peer.learn_ack(packet_id, now=None)
+        peer.learn_acks(sorted(new_acks)[:sendable], now=None)
 
     def learn_ack(self, packet_id: int, now: Optional[float]) -> None:
         """Record that *packet_id* was delivered; purge the local replica."""
-        if packet_id not in self.acked:
-            tracer = self.context.tracer
-            if tracer is not None:
+        self.learn_acks((packet_id,), now)
+
+    def learn_acks(self, packet_ids: Sequence[int], now: Optional[float]) -> None:
+        """Record that each of *packet_ids* was delivered; purge the local replicas.
+
+        Senders pass the ids in packet-id order, so ``ack_learned``
+        events come out in that order too.
+        """
+        tracer = self.context.tracer
+        acked = self.acked
+        held = self.buffer.by_id
+        hop_counts = self.hop_counts
+        for packet_id in packet_ids:
+            if tracer is not None and packet_id not in acked:
                 # Ack propagation: this node just learned of the delivery
                 # (via a control exchange or by witnessing it).  The
                 # recorder clock stamps the event — control exchanges do
                 # not thread an explicit timestamp down to this hook.
                 tracer.ack_learned(self.node_id, packet_id)
-        self.acked.add(packet_id)
-        self.node.buffer.discard(packet_id)
-        self.hop_counts.pop(packet_id, None)
+            acked.add(packet_id)
+            if packet_id in held:
+                self.buffer.remove(packet_id)
+            hop_counts.pop(packet_id, None)
 
     def direct_delivery_order(self, peer_id: int, now: float) -> List[Packet]:
         """Packets destined to *peer_id*, in the order they should be sent."""
@@ -400,32 +387,31 @@ class RoutingProtocol(abc.ABC):
 
     def accept_replica(self, packet: Packet, sender: "RoutingProtocol", now: float) -> bool:
         """Decide whether to accept (and store) an incoming replica."""
-        if packet.packet_id in self.acked:
+        packet_id = packet.packet_id
+        if packet_id in self.acked or packet_id in self.buffer.by_id:
             return False
-        if packet.packet_id in self.buffer:
-            return False
-        hop_count = sender.hop_counts.get(packet.packet_id, 0) + 1
-        return self.insert_packet(packet, now, hop_count=hop_count)
+        return self.insert_packet(packet, now, hop_count=sender.hop_counts.get(packet_id, 0) + 1)
 
     def on_replica_sent(self, packet: Packet, peer: "RoutingProtocol", now: float) -> None:
         """Called after the simulator copies *packet* to *peer*."""
 
     def on_delivery(self, packet: Packet, now: float) -> None:
         """Called on both meeting participants when *packet* reaches its destination."""
-        self.learn_ack(packet.packet_id, now)
+        self.learn_acks((packet.packet_id,), now)
 
     # ------------------------------------------------------------------
     # Storage management
     # ------------------------------------------------------------------
     def insert_packet(self, packet: Packet, now: float, hop_count: int = 0) -> bool:
         """Insert a replica, evicting lower-priority packets if needed."""
-        if packet.packet_id in self.buffer:
+        buffer = self.buffer
+        if packet.packet_id in buffer.by_id:
             return False
-        if not self.buffer.fits(packet) and not self.make_room(packet, now):
+        if packet.size > buffer.capacity - buffer.used_bytes and not self.make_room(packet, now):
             self.storage_drops += 1
             self.node.counters.packets_dropped += 1
             return False
-        self.buffer.add(packet, now)
+        buffer.add(packet, now)
         self.hop_counts[packet.packet_id] = hop_count
         return True
 
@@ -439,11 +425,12 @@ class RoutingProtocol(abc.ABC):
         (e.g. RAPID's replica metadata) — so the three can never disagree.
         """
         tracer = self.context.tracer
-        while not self.buffer.fits(incoming):
+        buffer = self.buffer
+        while incoming.size > buffer.capacity - buffer.used_bytes:
             victim = self.choose_eviction_victim(incoming, now)
             if victim is None:
                 return False
-            packet = self.buffer.remove(victim)
+            packet = buffer.remove(victim)
             self.hop_counts.pop(victim, None)
             self.storage_drops += 1
             self.node.counters.packets_dropped += 1
@@ -532,16 +519,13 @@ class RoutingProtocol(abc.ABC):
     # ------------------------------------------------------------------
     # Utilities shared by subclasses
     # ------------------------------------------------------------------
-    def unacked_packets(self) -> List[Packet]:
-        """Buffered packets that are not known to be delivered."""
-        return [p for p in self.buffer if p.packet_id not in self.acked]
-
     def transferable_packets(self, peer: "RoutingProtocol") -> List[Packet]:
         """Buffered packets that the peer does not already hold."""
+        acked, held, destination = self.acked, peer.buffer.by_id, peer.node_id
         return [
             p
-            for p in self.unacked_packets()
-            if p.packet_id not in peer.buffer and p.destination != peer.node_id
+            for p in self.buffer.packets()
+            if p.packet_id not in acked and p.packet_id not in held and p.destination != destination
         ]
 
 

@@ -14,7 +14,7 @@ maximum-delay metric.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Sequence
 
 from .. import constants
 from ..dtn.node import Node
@@ -50,9 +50,10 @@ class SprayAndWaitProtocol(RoutingProtocol):
             self.tokens[packet.packet_id] = self.copies
         return created
 
-    def learn_ack(self, packet_id: int, now: Optional[float]) -> None:
-        super().learn_ack(packet_id, now)
-        self.tokens.pop(packet_id, None)
+    def learn_acks(self, packet_ids: Sequence[int], now: Optional[float]) -> None:
+        super().learn_acks(packet_ids, now)
+        for packet_id in packet_ids:
+            self.tokens.pop(packet_id, None)
 
     # ------------------------------------------------------------------
     # Replication

@@ -36,6 +36,8 @@ class TestCLI:
             ["--duration", "0"],
             ["--mean-meeting", "0"],
             ["--load", "0"],
+            ["--buffer-kb", "nan"],
+            ["--buffer-kb", "-5"],
         ],
     )
     def test_quicksim_rejects_bad_input(self, flags, capsys):

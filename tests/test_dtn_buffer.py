@@ -1,9 +1,11 @@
 """Tests for the storage-constrained node buffer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dtn.buffer import NodeBuffer
-from repro.dtn.packet import PacketFactory
+from repro.dtn.packet import Packet, PacketFactory
 from repro.exceptions import BufferError_
 
 
@@ -185,6 +187,53 @@ class TestDestinationIndex:
         buffer = NodeBuffer()
         packet = factory.create(source=0, destination=5, size=100)
         buffer.add(packet)
-        buffer._used += 1  # corrupt on purpose
+        buffer.used_bytes += 1  # corrupt on purpose
         with pytest.raises(BufferError_):
             buffer.check_integrity()
+
+
+#: Few creation times and interleaved ids: most packets tie on their
+#: creation time, so queries land inside runs of equal times.
+queue_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "remove", "discard"]),
+        st.integers(min_value=0, max_value=39),
+        st.integers(min_value=0, max_value=2),
+        st.sampled_from([0.0, 5.0, 10.0]),
+        st.integers(min_value=1, max_value=900),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=queue_ops, now=st.sampled_from([0.0, 2.0, 5.0, 7.5, 10.0, 50.0]))
+def test_float_keyed_queue_matches_reference_scan(ops, now):
+    """Random churn with tied creation times: every answer equals the scan."""
+    buffer = NodeBuffer()
+    packets = {}
+    for kind, packet_id, destination, created, size in ops:
+        if kind == "add":
+            if packet_id not in buffer.by_id:
+                packet = Packet(packet_id, 100, destination, size, created)
+                packets[packet_id] = packet
+                buffer.add(packet, now=created)
+        elif kind == "remove":
+            if packet_id in buffer.by_id:
+                buffer.remove(packet_id)
+        else:
+            buffer.discard(packet_id)
+        buffer.check_integrity()
+    # Held packets, and non-held ones tied with them (fresh ids between
+    # and around the held ones), including creation times after ``now``.
+    queries = list(buffer.packets())
+    queries += [
+        Packet(1000 + k, 100, destination, 50, created)
+        for k, (destination, created) in enumerate(
+            (d, t) for d in range(3) for t in (0.0, 5.0, 10.0, 20.0)
+        )
+    ]
+    queries += [Packet(k, 100, k % 3, 60, 5.0) for k in range(40) if k not in buffer.by_id]
+    expected = [buffer._bytes_ahead_scan(packet, now) for packet in queries]
+    assert [buffer.bytes_ahead_of(packet, now) for packet in queries] == expected
+    assert buffer.bytes_ahead_batch(queries, now).tolist() == expected

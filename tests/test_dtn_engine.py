@@ -144,6 +144,13 @@ class TestSimulatorBasics:
         with pytest.raises(Exception):
             Simulator(tiny_schedule, packets, create_factory("epidemic"), buffer_capacity=0)
 
+    def test_nan_buffer_capacity_is_rejected(self, tiny_schedule):
+        packets = single_packet_workload(source=0, destination=2)
+        with pytest.raises(ConfigurationError, match="buffer_capacity"):
+            Simulator(
+                tiny_schedule, packets, create_factory("epidemic"), buffer_capacity=float("nan")
+            )
+
     def test_duplicate_packet_ids_are_rejected(self, tiny_schedule):
         packet = single_packet_workload(source=0, destination=2)[0]
         with pytest.raises(ConfigurationError, match="packet ids must be unique"):

@@ -149,6 +149,21 @@ class TestScenarioSpec:
         with pytest.raises(ConfigurationError):
             ScenarioSpec.for_cell(tiny_synth_config, ProtocolSpec("R", "random"), 0.0, 0)
 
+    @pytest.mark.parametrize("capacity", [float("nan"), 0.0, -1.0])
+    def test_rejects_non_positive_buffer_capacity(self, tiny_synth_config, capacity):
+        protocol = ProtocolSpec("R", "random")
+        with pytest.raises(ConfigurationError, match="buffer_capacity"):
+            ScenarioSpec.for_cell(tiny_synth_config, protocol, 1.0, 0, buffer_capacity=capacity)
+        grid = ScenarioGrid(
+            config=tiny_synth_config, protocols=[protocol], loads=(1.0,), buffer_capacity=capacity
+        )
+        with pytest.raises(ConfigurationError, match="buffer_capacity"):
+            grid.cells()
+        unlimited = ScenarioSpec.for_cell(
+            tiny_synth_config, protocol, 1.0, 0, buffer_capacity=float("inf")
+        )
+        assert unlimited.buffer_capacity == float("inf")
+
 
 class TestScenarioGrid:
     def test_expansion_order_and_size(self, tiny_grid):

@@ -123,6 +123,24 @@ class TestConfigs:
         with pytest.raises(ConfigurationError, match="positive finite"):
             build(value)
 
+    @pytest.mark.parametrize("capacity", [float("nan"), 0.0, -5.0])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda capacity: TraceExperimentConfig(buffer_capacity=capacity),
+            lambda capacity: SyntheticExperimentConfig.ci_scale().with_buffer(capacity),
+        ],
+        ids=["trace", "synthetic"],
+    )
+    def test_configs_reject_non_positive_buffer_capacity(self, build, capacity):
+        with pytest.raises(ConfigurationError, match="buffer_capacity"):
+            build(capacity)
+
+    def test_configs_accept_unlimited_buffer_capacity(self):
+        assert TraceExperimentConfig(buffer_capacity=float("inf")).buffer_capacity == float("inf")
+        synthetic = SyntheticExperimentConfig.ci_scale().with_buffer(float("inf"))
+        assert synthetic.buffer_capacity == float("inf")
+
     def test_trace_config_scales(self):
         paper = TraceExperimentConfig.paper_scale()
         ci = TraceExperimentConfig.ci_scale()

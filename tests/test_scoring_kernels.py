@@ -120,10 +120,7 @@ def test_direct_delays_match_scalar(packets, met, initial, transfers, now):
     delays = peer._direct_delays_for_holder(x, queried, now)
     assert delays.dtype == np.float64 and len(delays) == len(queried)
     for packet, delay in zip(queried, delays.tolist()):
-        expected = peer._estimate_for_holder(x, packet, now)
-        assert delay == expected
-        if packet.packet_id in x.buffer:
-            assert delay == x.own_delay_estimate(packet, now)
+        assert delay == x.own_delay_estimate(packet, now)
 
 
 def test_buffer_delay_estimates_align_with_buffer_order():
@@ -137,6 +134,40 @@ def test_buffer_delay_estimates_align_with_buffer_order():
         x.buffer.add(packet, 10.0)
     estimates = x.buffer_delay_estimates(10.0)
     assert estimates.tolist() == [x.own_delay_estimate(p, 10.0) for p in x.buffer.packets()]
+
+
+@pytest.mark.parametrize(
+    "destination, initial, transfers, buffered",
+    [
+        pytest.param(6, 1500.0, {}, 3, id="infinite-meeting-time"),
+        pytest.param(3, None, {}, 3, id="no-transfer-estimate"),
+        pytest.param(3, 0.0, {}, 3, id="zero-transfer-estimate"),
+        pytest.param(3, -512.0, {}, 3, id="negative-transfer-estimate"),
+        pytest.param(3, None, {3: 1234.5}, 0, id="zero-bytes-ahead"),
+        pytest.param(3, None, {3: 777.7}, 4, id="queued-bytes-ahead"),
+    ],
+)
+@pytest.mark.parametrize("asker", ["self", "peer"])
+def test_scalar_delay_formula_matches_kernel_bit_for_bit(
+    destination, initial, transfers, buffered, asker
+):
+    """``own_delay_estimate`` is the scalar twin of ``_direct_delays_for_holder``."""
+    x, peer = _pair()
+    for clock in (7.3, 20.4, 41.9):
+        x.meetings.record_meeting(3, clock)
+    x.transfer_sizes = TransferSizeEstimator(initial_estimate=initial)
+    for node, size in transfers.items():
+        x.transfer_sizes.record(node, size)
+    factory = PacketFactory()
+    queried = [
+        factory.create(source=9, destination=destination, size=300 + 211 * k, creation_time=k)
+        for k in range(6)
+    ]
+    for packet in queried[:buffered]:
+        x.buffer.add(packet, 10.0)
+    kernel = (x if asker == "self" else peer)._direct_delays_for_holder(x, queried, 10.0)
+    scalar = [x.own_delay_estimate(packet, 10.0) for packet in queried]
+    assert [float.hex(value) for value in kernel.tolist()] == list(map(float.hex, scalar))
 
 
 # ----------------------------------------------------------------------
@@ -366,11 +397,6 @@ def test_sender_reuses_the_receivers_estimates(monkeypatch, channel):
         RapidProtocol,
         "own_delay_estimate",
         lambda self, *args: calls.append(self.node_id) or original(self, *args),
-    )
-    monkeypatch.setattr(
-        RapidProtocol,
-        "_estimate_for_holder",
-        lambda self, holder, *args: calls.append(holder.node_id) or original(holder, *args),
     )
     sender.on_replica_sent(packet, receiver, 12.0)
     monkeypatch.undo()
