@@ -15,7 +15,10 @@ Both must produce **byte-identical** ``SimulationResult.to_dict()``
 output.  RAPID's two scoring dispatches (``choose_eviction_victim`` and
 ``_candidate_scores``) each pick the array kernel or the scalar fold by
 candidate count, and the fast run must take both arms of both, so the
-identity check covers all four.  The fast path must be at least ``8x``
+identity check covers all four.  Its delay estimates must likewise take
+both paths: the per-destination shortcut (the destination's queued bytes
+plus the packet fit one expected transfer, so the queue position cannot
+matter) and the queue-position path.  The fast path must be at least ``8x``
 faster on the full
 cell (~28k packets against 1.5 MB buffers; ``1.5x`` in ``--quick`` mode,
 whose cell is small enough for CI smoke runs).  A second stage re-runs a
@@ -52,6 +55,7 @@ import numpy as np
 
 from repro import units
 from repro.core.rapid import RapidProtocol
+from repro.dtn.buffer import NodeBuffer
 from repro.dtn.packet import Packet
 from repro.dtn.simulator import run_simulation
 from repro.dtn.workload import PoissonWorkload
@@ -74,11 +78,18 @@ QUICK_SPEEDUP_FLOOR = 1.5
 QUICK_MIN_PACKETS = 2000
 #: Quick-cell buffers: shallow enough that storage fills and evicts.
 QUICK_BUFFER_KB = 80
+#: Quick-cell transfer opportunities: small enough that some destination
+#: queues outgrow one expected transfer (the queue-position delay path).
+QUICK_TRANSFER_KB = 30
 FULL_MIN_PACKETS = 20000
 
 #: RAPID's scoring dispatches; each picks an arm per call in
 #: ``RapidProtocol._scalar_replica_delays``.
 SCORING_DISPATCHES = ("choose_eviction_victim", "_candidate_scores")
+
+#: The two ways RAPID answers a delay estimate: from the destination's
+#: queued bytes alone, or from the packet's queue position ``b``.
+DELAY_PATHS = ("per_destination", "queue_position")
 
 #: Protocols whose serial / parallel / cached outputs must agree.
 IDENTITY_PROTOCOLS = ("rapid", "maxprop", "prophet")
@@ -96,7 +107,8 @@ def _hotpath_inputs(quick: bool):
 
     The quick cell keeps 80 KB buffers (~80 packets deep) against a
     multi-megabyte offered load, so victim choices score sets on both
-    sides of the eviction crossover; the full cell raises the pressure
+    sides of the eviction crossover, and 30 KB opportunities, so delay
+    estimates take both paths; the full cell raises the pressure
     to 1.5 MB buffers and ~28k packets across 8 nodes, which is where
     the reference path's O(buffer) scans and per-step eviction
     rescoring hurt the most.
@@ -106,7 +118,7 @@ def _hotpath_inputs(quick: bool):
         mobility = ExponentialMobility(
             num_nodes=6,
             mean_inter_meeting=100.0,
-            transfer_opportunity=60 * units.KB,
+            transfer_opportunity=QUICK_TRANSFER_KB * units.KB,
             seed=3,
         )
         schedule = mobility.generate(duration)
@@ -171,6 +183,41 @@ def _count_scoring_arms() -> Iterator[Counter]:
         yield counts
     finally:
         RapidProtocol._scalar_replica_delays = pick_arm
+
+
+@contextlib.contextmanager
+def _count_delay_paths() -> Iterator[Counter]:
+    """Count the delay estimates each path answered.
+
+    Every packet of a ``_direct_delays_for_holder`` call and every
+    ``own_delay_estimate`` call is one estimate; the packets of the
+    ``bytes_ahead_batch`` calls and the ``bytes_ahead_of`` calls they make
+    are the ones that needed a queue position.
+    """
+    counts: Counter = Counter()
+    sizes = {
+        (RapidProtocol, "_direct_delays_for_holder"): ("estimates", lambda args: len(args[1])),
+        (RapidProtocol, "own_delay_estimate"): ("estimates", lambda args: 1),
+        (NodeBuffer, "bytes_ahead_batch"): ("queue_position", lambda args: len(args[0])),
+        (NodeBuffer, "bytes_ahead_of"): ("queue_position", lambda args: 1),
+    }
+    originals = {site: getattr(*site) for site in sizes}
+
+    def counted(method, key, size):
+        def wrapper(self, *args):
+            counts[key] += size(args)
+            return method(self, *args)
+
+        return wrapper
+
+    for site, (key, size) in sizes.items():
+        setattr(*site, counted(originals[site], key, size))
+    try:
+        yield counts
+    finally:
+        for site, method in originals.items():
+            setattr(*site, method)
+        counts["per_destination"] = counts.pop("estimates", 0) - counts["queue_position"]
 
 
 def _canonical(payloads: List[Dict[str, object]]) -> str:
@@ -304,7 +351,7 @@ def run_gate(
     quick: bool, cache_dir: Optional[Path] = None, scale: bool = False
 ) -> Dict[str, object]:
     """Run the full gate; return the BENCH payload (raises on regression)."""
-    with _count_scoring_arms() as arms:
+    with _count_scoring_arms() as arms, _count_delay_paths() as paths:
         fast_payload, fast_s, num_packets = _run_hotpath_cell(quick, slow=False)
     slow_payload, slow_s, _ = _run_hotpath_cell(quick, slow=True)
 
@@ -326,6 +373,9 @@ def run_gate(
         if not calls
     ]
     assert not missing, f"the fast run never took these scoring arms: {missing}"
+    delay_paths = {name: paths[name] for name in DELAY_PATHS}
+    missing = [name for name, estimates in delay_paths.items() if not estimates]
+    assert not missing, f"the fast run never took these delay paths: {missing}"
     speedup = slow_s / fast_s if fast_s > 0 else float("inf")
 
     if cache_dir is None:
@@ -347,6 +397,7 @@ def run_gate(
         "speedup_floor": floor,
         "bit_identical_to_reference": True,
         "scoring_arms": scoring_arms,
+        "delay_paths": delay_paths,
         "identity_check": identity,
     }
     if scale:

@@ -24,7 +24,8 @@ Usage::
 repository (a revision is exported with ``git archive``).  The output
 ends with the CPU-time ratio B/A, the number of cell pairs B won, and
 whether every result of B matched A's (``to_dict()`` without
-``timings``).  The exit status is 1 when any result differed.
+``timings``); the same ratio and wins follow per protocol (and RAPID
+metric).  The exit status is 1 when any result differed.
 """
 
 from __future__ import annotations
@@ -129,7 +130,8 @@ def compare(
 
     Returns the total CPU seconds per side, the timed cell pairs, how
     many of them side B won, and whether every result matched side A's
-    warm-up result for the same cell.
+    warm-up result for the same cell; ``by_protocol`` splits the CPU
+    seconds, pairs and wins by :func:`protocol_of` the cell.
     """
     order = random.Random(seed)
     expected = []
@@ -140,6 +142,7 @@ def compare(
         match &= outputs[1] == outputs[0]
     totals = [0.0, 0.0]
     wins = 0
+    by_protocol: Dict[str, Dict[str, object]] = {}
     for _ in range(rounds):
         for cell, reference in zip(cells, expected):
             sides = [0, 1]
@@ -151,7 +154,26 @@ def compare(
             totals[0] += cpu[0]
             totals[1] += cpu[1]
             wins += cpu[1] < cpu[0]
-    return {"cpu": totals, "pairs": rounds * len(cells), "b_wins": wins, "match": match}
+            group = by_protocol.setdefault(
+                protocol_of(cell), {"cpu": [0.0, 0.0], "pairs": 0, "b_wins": 0}
+            )
+            group["cpu"] = [group["cpu"][0] + cpu[0], group["cpu"][1] + cpu[1]]
+            group["pairs"] += 1
+            group["b_wins"] += cpu[1] < cpu[0]
+    return {
+        "cpu": totals,
+        "pairs": rounds * len(cells),
+        "b_wins": wins,
+        "match": match,
+        "by_protocol": by_protocol,
+    }
+
+
+def protocol_of(cell: Dict[str, object]) -> str:
+    """The cell's protocol label, with its routing metric when it names one."""
+    protocol = cell["protocol"]
+    metric = protocol.get("options", {}).get("metric")
+    return protocol["label"] if metric is None else f"{protocol['label']} ({metric})"
 
 
 def main(argv=None) -> int:
@@ -170,6 +192,12 @@ def main(argv=None) -> int:
     cpu_a, cpu_b = report["cpu"]
     print(f"cpu A {cpu_a:.2f} s, B {cpu_b:.2f} s, ratio B/A {cpu_b / cpu_a:.3f}")
     print(f"B faster in {report['b_wins']}/{report['pairs']} cell pairs")
+    for name, group in sorted(report["by_protocol"].items()):
+        group_a, group_b = group["cpu"]
+        print(
+            f"  {name}: ratio {group_b / group_a:.3f}, "
+            f"B faster in {group['b_wins']}/{group['pairs']}"
+        )
     print(f"results match: {str(report['match']).lower()}")
     return 0 if report["match"] else 1
 

@@ -25,8 +25,6 @@ from .dag_delay import (
 from .delay import (
     combined_remaining_delay,
     delivery_probability_within,
-    direct_delivery_delay,
-    meetings_needed,
     uniform_exponential_remaining_delay,
 )
 from .meeting_estimator import MeetingTimeEstimator
@@ -63,8 +61,6 @@ __all__ = [
     "available_channels",
     "combined_remaining_delay",
     "delivery_probability_within",
-    "direct_delivery_delay",
-    "meetings_needed",
     "uniform_exponential_remaining_delay",
     "build_dependency_graph",
     "dag_delay_estimates",

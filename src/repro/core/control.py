@@ -164,8 +164,10 @@ class InBandControlChannel(ControlChannel):
             estimates = sender.buffer_delay_estimates(now)
         sent = sender.sent_buffer_estimates.setdefault(receiver.node_id, {})
         last = np.fromiter(map(sent.get, ids, repeat(np.nan)), dtype=np.float64, count=len(ids))
-        with np.errstate(invalid="ignore"):
-            unchanged = (last > 0) & (np.abs(estimates - last) <= tolerance * last)
+        # An infinite estimate is always re-sent (its gap stays nan), so
+        # inf - inf, which would warn, is never computed.
+        gap = np.subtract(estimates, last, out=np.full(len(ids), np.nan), where=np.isfinite(estimates))
+        unchanged = (last > 0) & (np.abs(gap) <= tolerance * last)
         changed = np.flatnonzero(~unchanged)
         sendable = meta_budget.consume_entries(len(changed), constants.RAPID_METADATA_ENTRY_BYTES)
         if sendable > 0:

@@ -7,7 +7,9 @@ from three ingredients:
    with the destination needed to flush the bytes queued ahead of the
    packet, ``n_j(i) = ceil((b_j(i) + s_i) / B_j)`` (Algorithm 2, steps 2-4;
    the packet's own size is included so the very first packet in a queue
-   still needs one meeting);
+   still needs one meeting; computed per holder by
+   :meth:`~repro.core.rapid.RapidProtocol.own_delay_estimate` and its
+   batched twin);
 2. the expected inter-meeting time ``E(M_jZ)`` between the replica holder
    and the destination, approximated as exponential (Section 4.1.2), giving
    a per-replica direct-delivery delay ``d_j(i) = E(M_jZ) * n_j(i)``;
@@ -24,51 +26,11 @@ Section 4.1.2): a replica whose holder cannot reach the destination within
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .. import constants
-
-
-def meetings_needed(bytes_ahead: float, packet_size: float, expected_transfer_bytes: float) -> int:
-    """``n_j(i)``: meetings needed to deliver the packet directly.
-
-    Args:
-        bytes_ahead: ``b_j(i)`` — bytes of same-destination packets queued
-            ahead of the packet at the replica holder.
-        packet_size: ``s_i`` — the packet's own size in bytes.
-        expected_transfer_bytes: ``B_j`` — the holder's moving average of
-            transfer-opportunity sizes.
-
-    Returns:
-        At least 1 (delivering the packet always takes one meeting).
-    """
-    if packet_size <= 0:
-        raise ValueError("packet_size must be positive")
-    if expected_transfer_bytes <= 0:
-        return 1
-    return max(1, int(math.ceil((bytes_ahead + packet_size) / expected_transfer_bytes)))
-
-
-def direct_delivery_delay(
-    expected_meeting_time: float,
-    bytes_ahead: float,
-    packet_size: float,
-    expected_transfer_bytes: float,
-) -> float:
-    """``d_j(i) = E(M_jZ) * n_j(i)``: one replica's expected delivery delay.
-
-    The gamma-distributed time for ``n_j`` meetings is approximated by an
-    exponential with the same mean (Section 4.1.1), so only the mean is
-    needed here.
-    """
-    if expected_meeting_time < 0:
-        raise ValueError("expected_meeting_time must be non-negative")
-    if math.isinf(expected_meeting_time):
-        return constants.NEVER_MEET
-    n = meetings_needed(bytes_ahead, packet_size, expected_transfer_bytes)
-    return expected_meeting_time * n
 
 
 def delivery_rate_sum(
@@ -100,9 +62,9 @@ def fold_extra_delay(
     """Fold one more replica delay into :func:`delivery_rate_sum` results.
 
     Appending a delay to the scalar fold's input list adds exactly one
-    more ``rate += 1/d`` step, so the updated rate is bit-identical to
-    refolding the extended list from scratch (a non-positive delay marks
-    its row degenerate instead).
+    more ``rate += 1/d`` step (:func:`add_delay_to_rate`), so the updated
+    rate is bit-identical to refolding the extended list from scratch (a
+    non-positive delay marks its row degenerate instead).
     """
     positive = extra_delays > 0
     inverse = np.divide(1.0, extra_delays, out=np.zeros(len(extra_delays)), where=positive)
@@ -142,12 +104,28 @@ def delivery_rate(delays: Iterable[float]) -> float:
     return rate
 
 
-def combined_remaining_delay(delays: Sequence[float]) -> float:
-    """``A(i)``: expected remaining delay given per-replica delays (Eq. 8/9).
+def add_delay_to_rate(rate: float, delay: Optional[float]) -> float:
+    """:func:`delivery_rate` of a delay list extended by *delay*, given the list's *rate*.
+
+    One more step of the left fold under the same rules (``None`` and an
+    infinite delay add nothing, a delay ``<= 0`` makes the rate infinite,
+    an infinite *rate* stays infinite), so for the non-NaN delays RAPID
+    estimates it is bit-identical to refolding the extended list.
+    """
+    if delay is None:
+        return rate
+    if delay <= 0:
+        return float("inf")
+    if math.isinf(delay):
+        return rate
+    return rate + 1.0 / delay
+
+
+def remaining_delay_from_rate(rate: float) -> float:
+    """``A(i)`` from the replicas' :func:`delivery_rate` (Eq. 8/9).
 
     Returns infinity when no replica can reach the destination.
     """
-    rate = delivery_rate(delays)
     if rate == 0.0:
         return constants.NEVER_MEET
     if math.isinf(rate):
@@ -155,21 +133,23 @@ def combined_remaining_delay(delays: Sequence[float]) -> float:
     return 1.0 / rate
 
 
-def delivery_probability_within(delays: Sequence[float], window: float) -> float:
-    """``P(a(i) < window)`` under the exponential-mixture model (Eq. 7)."""
-    if window <= 0:
-        return 0.0
-    rate = delivery_rate(delays)
-    if rate == 0.0:
+def combined_remaining_delay(delays: Sequence[float]) -> float:
+    """``A(i)``: expected remaining delay given per-replica delays (Eq. 8/9)."""
+    return remaining_delay_from_rate(delivery_rate(delays))
+
+
+def probability_within_from_rate(rate: float, window: float) -> float:
+    """``P(a(i) < window)`` from the replicas' :func:`delivery_rate` (Eq. 7)."""
+    if window <= 0 or rate == 0.0:
         return 0.0
     if math.isinf(rate):
         return 1.0
     return 1.0 - math.exp(-rate * window)
 
 
-def expected_delay_with_extra_replica(delays: Sequence[float], extra_delay: float) -> float:
-    """``A(i)`` after adding one more replica with delay *extra_delay*."""
-    return combined_remaining_delay(list(delays) + [extra_delay])
+def delivery_probability_within(delays: Sequence[float], window: float) -> float:
+    """``P(a(i) < window)`` under the exponential-mixture model (Eq. 7)."""
+    return probability_within_from_rate(delivery_rate(delays), window)
 
 
 def uniform_exponential_remaining_delay(mean_meeting_time: float, num_replicas: int) -> float:

@@ -174,7 +174,7 @@ class RapidProtocol(RoutingProtocol):
         """This node's delay estimate ``d_X(i)``, held or not ("if it received it now").
 
         The scalar twin of :meth:`_direct_delays_for_holder`, bit for bit,
-        edge cases included.
+        edge cases and queue-position shortcut included.
         """
         destination = packet.destination
         meeting = self.meetings.expected_meeting_time(destination)
@@ -182,9 +182,13 @@ class RapidProtocol(RoutingProtocol):
         size = packet.size
         if transfer is None:
             transfer = size
-        if transfer > 0:
-            meetings = math.ceil((self.buffer.bytes_ahead_of(packet, now) + size) / transfer)
-            return meeting * (meetings if meetings > 1 else 1)
+        buffer = self.buffer
+        if transfer > 0 and (
+            self._slow_reference or buffer.queued_bytes(destination) + size > transfer
+        ):
+            meetings = math.ceil((buffer.bytes_ahead_of(packet, now) + size) / transfer)
+            if meetings > 1:
+                return meeting * meetings
         return meeting
 
     def replica_delays(self, packet: Packet, now: float) -> List[float]:
@@ -445,39 +449,50 @@ class RapidProtocol(RoutingProtocol):
     ) -> np.ndarray:
         """``d_holder(i) = E(M) * max(ceil((b + s) / B), 1)`` for every packet.
 
-        One pass over the packets.  The holder's ``(E(M_XZ), B_X(Z))``
-        depend only on the destination, so they are looked up once per
-        distinct destination; the queue positions ``b`` come from one
-        ``bytes_ahead_batch`` call.  Element ``k`` equals the scalar
-        :meth:`own_delay_estimate` chain bit for bit: the same quotient,
-        ceil and product, an infinite ``E(M)`` multiplying through to
-        :data:`~repro.constants.NEVER_MEET`, the packet's own size standing
-        in for a missing transfer estimate and one meeting for ``B <= 0``.
+        One pass over the packets.  The holder's ``E(M_XZ)``, ``B_X(Z)``
+        and bytes queued for ``Z`` depend only on the destination, so they
+        are looked up once per distinct destination.  The queue position
+        ``b`` never exceeds the queued bytes, so a packet whose queue plus
+        own size fits one expected transfer (``queued + s <= B``, an exact
+        int/float comparison) needs one meeting wherever it stands; only
+        the other packets' ``b`` come from one ``bytes_ahead_batch`` call
+        (every packet's under ``REPRO_SLOW_ESTIMATES=1``).  Element ``k``
+        equals the scalar :meth:`own_delay_estimate` bit for bit: the same
+        quotient, ceil and product, an infinite ``E(M)`` multiplying
+        through to :data:`~repro.constants.NEVER_MEET`, the packet's own
+        size standing in for a missing transfer estimate and one meeting
+        for ``B <= 0``.
         """
         meeting_time = holder.meetings.expected_meeting_time
         transfer_bytes = holder.transfer_sizes.expected_bytes_or_none
-        ceil = math.ceil
-        per_destination: Dict[int, Tuple[float, Optional[float]]] = {}
+        queued_bytes = holder.buffer.queued_bytes
+        full = self._slow_reference
+        per_destination: Dict[int, Tuple[float, Optional[float], int]] = {}
         delays: List[float] = []
-        append = delays.append
-        ahead = holder.buffer.bytes_ahead_batch(packets, now).tolist()
-        for packet, bytes_ahead in zip(packets, ahead):
+        positioned: List[Tuple[int, Packet, float]] = []
+        for packet in packets:
             destination = packet.destination
             if destination in per_destination:
-                meeting, transfer = per_destination[destination]
+                meeting, transfer, queued = per_destination[destination]
             else:
-                meeting, transfer = per_destination[destination] = (
+                meeting, transfer, queued = per_destination[destination] = (
                     meeting_time(destination),
                     transfer_bytes(destination),
+                    queued_bytes(destination),
                 )
             size = packet.size
             if transfer is None:
                 transfer = size
-            if transfer > 0:
-                meetings = ceil((bytes_ahead + size) / transfer)
-                append(meeting * (meetings if meetings > 1 else 1))
-            else:
-                append(meeting)
+            if transfer > 0 and (full or queued + size > transfer):
+                positioned.append((len(delays), packet, transfer))
+            delays.append(meeting)
+        if positioned:
+            ahead = holder.buffer.bytes_ahead_batch([p for _, p, _ in positioned], now)
+            ceil = math.ceil
+            for (k, packet, transfer), bytes_ahead in zip(positioned, ahead.tolist()):
+                meetings = ceil((bytes_ahead + packet.size) / transfer)
+                if meetings > 1:
+                    delays[k] *= meetings
         return np.array(delays, dtype=np.float64)
 
     def _fold_replica_rates(

@@ -39,25 +39,12 @@ class TransferSizeEstimator:
             self._global = (1.0 - self.smoothing) * self._global + self.smoothing * float(size_bytes)
         self._observations += 1
 
-    def expected_bytes(self, peer_id: Optional[int] = None, default: float = 1.0) -> float:
+    def expected_bytes_or_none(self, peer_id: Optional[int] = None) -> Optional[float]:
         """Expected transfer opportunity with *peer_id* (or overall) in bytes.
 
         Falls back to the global average when the peer has not been met,
-        and to *default* before any observation at all.
-        """
-        if peer_id is not None and peer_id in self._per_peer:
-            return self._per_peer[peer_id]
-        if self._global is not None:
-            return self._global
-        return float(default)
-
-    def expected_bytes_or_none(self, peer_id: Optional[int] = None) -> Optional[float]:
-        """Like :meth:`expected_bytes` but ``None`` before any observation.
-
-        Lets callers that look estimates up once per destination (RAPID's
-        one-pass delay kernel) tell "no information, fall back to the
-        packet's own size" from an actual estimate without threading
-        per-packet defaults through their per-destination memo.
+        and is ``None`` before any observation at all: RAPID's delay
+        estimate then lets the packet's own size stand in.
         """
         if peer_id is not None and peer_id in self._per_peer:
             return self._per_peer[peer_id]

@@ -123,8 +123,11 @@ class AverageDelayMetric(UtilityMetric):
         extra_replica_delay: float,
         now: float,
     ) -> float:
-        before = delay_module.combined_remaining_delay(delays_before)
-        after = delay_module.expected_delay_with_extra_replica(delays_before, extra_replica_delay)
+        rate = delay_module.delivery_rate(delays_before)
+        before = delay_module.remaining_delay_from_rate(rate)
+        after = delay_module.remaining_delay_from_rate(
+            delay_module.add_delay_to_rate(rate, extra_replica_delay)
+        )
         if before == float("inf") and after == float("inf"):
             return 0.0
         if before == float("inf"):
@@ -203,16 +206,14 @@ class DeadlineMetric(UtilityMetric):
         window = self._window(packet, now)
         if window is not None and window <= 0:
             return 0.0
+        rate = delay_module.delivery_rate(delays_before)
+        rate_after = delay_module.add_delay_to_rate(rate, extra_replica_delay)
         if window is None:
-            before = delay_module.combined_remaining_delay(delays_before)
-            after = delay_module.expected_delay_with_extra_replica(
-                delays_before, extra_replica_delay
-            )
+            before = delay_module.remaining_delay_from_rate(rate)
+            after = delay_module.remaining_delay_from_rate(rate_after)
             return 1.0 if before == float("inf") and after != float("inf") else 0.0
-        p_before = delay_module.delivery_probability_within(delays_before, window)
-        p_after = delay_module.delivery_probability_within(
-            list(delays_before) + [extra_replica_delay], window
-        )
+        p_before = delay_module.probability_within_from_rate(rate, window)
+        p_after = delay_module.probability_within_from_rate(rate_after, window)
         return max(0.0, p_after - p_before)
 
     def direct_delivery_key(self, packet: Packet, now: float) -> float:
@@ -244,25 +245,13 @@ class MaximumDelayMetric(UtilityMetric):
     def utility(self, packet: Packet, remaining_delay: float, now: float) -> float:
         return -(packet.age(now) + self.clip_delay(remaining_delay, now))
 
+    # The marginal gain of a replica is average delay's: the same delay
+    # reduction, ranked by expected delay instead (see the protocol).
+    marginal_utility = AverageDelayMetric.marginal_utility
+
     def expected_delay(self, packet: Packet, remaining_delay: float, now: float) -> float:
         """``D(i) = T(i) + A(i)`` — exposed for the max-delay ordering."""
         return packet.age(now) + self.clip_delay(remaining_delay, now)
-
-    def marginal_utility(
-        self,
-        packet: Packet,
-        delays_before: Sequence[float],
-        extra_replica_delay: float,
-        now: float,
-    ) -> float:
-        before = delay_module.combined_remaining_delay(delays_before)
-        after = delay_module.expected_delay_with_extra_replica(delays_before, extra_replica_delay)
-        if before == float("inf") and after == float("inf"):
-            return 0.0
-        if before == float("inf"):
-            after = self.clip_delay(after, now)
-            return 1.0 / max(after, 1e-9)
-        return max(0.0, self.clip_delay(before, now) - self.clip_delay(after, now))
 
     def replication_priority(self, packet: Packet, marginal_utility: float, now: float) -> float:
         # Ranking for the max-delay metric happens on D(i) directly in the

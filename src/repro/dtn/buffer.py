@@ -6,17 +6,22 @@ capacity invariant; *which* packet to evict under pressure is a routing
 decision and therefore belongs to the protocols, which call
 :meth:`NodeBuffer.remove` before inserting.
 
-Because RAPID's delay estimator asks ``bytes_ahead_of`` for every
-candidate packet at every transfer opportunity, the buffer maintains a
-per-destination *serve-order index*: the same-destination packets sorted
-by float creation time, ids in a parallel list breaking ties — the static
-serve order of Algorithm 2 (oldest first, ties by id) — with lazily
-rebuilt prefix sums of their sizes.  ``bytes_ahead_of`` is one binary
-search (more only inside a run of equal times), with no tuple or list
-built, and :meth:`bytes_ahead_batch` answers a whole meeting's queries
-the same way into an array.  Setting ``REPRO_SLOW_ESTIMATES=1`` restores
-the original O(buffer) reference scan; both paths return identical
-values (the golden tests assert bit-identical simulation output).
+RAPID's delay estimator asks, at every transfer opportunity, how many
+bytes each destination has queued (:meth:`NodeBuffer.queued_bytes`) and,
+for the packets whose queue outgrows one expected transfer, how many are
+served ahead of them (``bytes_ahead_of``).  The buffer answers both from
+a per-destination *serve-order index*: the same-destination packets
+sorted by float creation time, ids in a parallel list breaking ties — the
+static serve order of Algorithm 2 (oldest first, ties by id) — with
+lazily rebuilt prefix sums of their sizes, whose last entry is the
+queued total.  ``bytes_ahead_of`` is one binary search (more only inside
+a run of equal times), with no tuple or list built, and
+:meth:`bytes_ahead_batch` answers a whole meeting's queries the same way
+into an array.  Protocols that never ask pay only the list surgery on
+:meth:`NodeBuffer.add` and :meth:`NodeBuffer.remove`.  Setting
+``REPRO_SLOW_ESTIMATES=1`` restores the original O(buffer) reference
+scan; both paths return identical values (the golden tests assert
+bit-identical simulation output).
 
 The buffer is also the attachment point of the structure-of-arrays
 :class:`~repro.dtn.packet_store.PacketStore`: every inserted packet is
@@ -74,12 +79,16 @@ class _DestinationQueue:
             index = bisect_left(self.ids, packet_id, index + 1, end)
         return index
 
-    def ahead(self, created: float, packet_id: int) -> int:
-        """Bytes served before ``(created, packet_id)``."""
+    def sums(self) -> List[int]:
+        """The prefix sums of ``sizes``, rebuilt if a mutation dropped them."""
         prefix = self.prefix
         if prefix is None:
             prefix = self.prefix = [0, *accumulate(self.sizes)]
-        return prefix[self.rank(created, packet_id)]
+        return prefix
+
+    def ahead(self, created: float, packet_id: int) -> int:
+        """Bytes served before ``(created, packet_id)``."""
+        return self.sums()[self.rank(created, packet_id)]
 
     def add(self, created: float, packet_id: int, size: int) -> None:
         index = self.rank(created, packet_id)
@@ -322,6 +331,17 @@ class NodeBuffer:
         else:
             NodeBuffer.snapshot_stats["hits"] += 1
         return cached
+
+    def queued_bytes(self, destination: int) -> int:
+        """Total size of the stored packets destined to *destination*.
+
+        No :meth:`bytes_ahead_of` answer for that destination exceeds it,
+        whether the queried packet is held or not.  It is the last of the
+        serve-order index's prefix sums, so the protocols that never ask
+        pay nothing for it on :meth:`add` and :meth:`remove`.
+        """
+        queue = self._by_destination.get(destination)
+        return 0 if queue is None else queue.sums()[-1]
 
     def bytes_ahead_of(self, packet: Packet, now: float) -> int:
         """Return ``b(i)``: bytes of same-destination packets served before *packet*.

@@ -38,6 +38,12 @@ def _validate_buffer_capacity(value: float) -> None:
         raise ConfigurationError(f"buffer_capacity must be positive, got {value!r}")
 
 
+def _validate_seed(seed: int) -> None:
+    # numpy's generators refuse a negative seed with a bare ValueError.
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed!r}")
+
+
 def _validate_contact_model(contact_model: str) -> None:
     if contact_model not in CONTACT_MODELS:
         raise ConfigurationError(
@@ -194,6 +200,7 @@ class TraceExperimentConfig:
             raise ConfigurationError("num_days must be at least 1")
         _validate_positive("load", self.load_packets_per_hour)
         _validate_buffer_capacity(self.buffer_capacity)
+        _validate_seed(self.seed)
         _validate_contact_model(self.contact_model)
         _validate_workload(self.workload)
         _validate_faults(self.faults)
@@ -321,6 +328,7 @@ class SyntheticExperimentConfig:
         _validate_mobility(self.mobility)
         if self.num_runs < 1:
             raise ConfigurationError("num_runs must be at least 1")
+        _validate_seed(self.seed)
         _validate_contact_model(self.contact_model)
         _validate_workload(self.workload)
         _validate_faults(self.faults)

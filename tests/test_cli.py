@@ -53,6 +53,19 @@ class TestCLI:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["quicksim", "--duration", "100", "--seed", "-1"],
+            ["run", "figure4", "--scale", "ci", "--seed", "-3", "--no-cache"],
+            ["sweep", "--seed", "-2", "--loads", "1", "--protocols", "random", "--no-cache"],
+        ],
+        ids=["quicksim", "run", "sweep"],
+    )
+    def test_negative_seed_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be non-negative")
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

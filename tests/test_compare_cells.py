@@ -38,3 +38,7 @@ def test_same_checkout_on_both_sides_matches_cell_for_cell():
     assert report["match"] is True
     assert report["pairs"] == 4 and 0 <= report["b_wins"] <= 4
     assert all(seconds > 0 for seconds in report["cpu"])
+    by_protocol = report["by_protocol"]
+    assert sorted(by_protocol) == ["random", "rapid"]
+    assert sum(group["pairs"] for group in by_protocol.values()) == report["pairs"]
+    assert sum(group["b_wins"] for group in by_protocol.values()) == report["b_wins"]

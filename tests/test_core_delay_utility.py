@@ -5,6 +5,8 @@ import math
 import pytest
 
 from repro.core import dag_delay, delay
+from repro.core.rapid import RapidProtocol
+from repro.core.transfer_estimator import TransferSizeEstimator
 from repro.core.utility import (
     AverageDelayMetric,
     DeadlineMetric,
@@ -12,28 +14,49 @@ from repro.core.utility import (
     available_metrics,
     make_metric,
 )
+from repro.dtn.node import Node
 from repro.dtn.packet import Packet
 from repro.exceptions import ConfigurationError
+from repro.routing.base import ProtocolContext
+
+
+def _holder(meeting: float, transfer: float, queued_ahead: int = 0) -> RapidProtocol:
+    """A RAPID node with ``E(M)`` *meeting* and expected transfer *transfer*
+    to destination 9, holding *queued_ahead* bytes for it (one packet)."""
+    node = Node.with_capacity(0, float("inf"))
+    holder = RapidProtocol(node, ProtocolContext(nodes={0: node}))
+    holder.meetings.expected_meeting_time = lambda destination: meeting
+    holder.transfer_sizes = TransferSizeEstimator(initial_estimate=transfer)
+    if queued_ahead:
+        holder.buffer.add(Packet(packet_id=1, source=0, destination=9, size=queued_ahead))
+    return holder
+
+
+#: The packet whose direct-delivery delay the holders above estimate.
+QUERIED = Packet(packet_id=2, source=0, destination=9, size=1000, creation_time=1.0)
 
 
 class TestDelayPrimitives:
     def test_meetings_needed_minimum_one(self):
-        assert delay.meetings_needed(0, 1000, 100_000) == 1
+        assert _holder(100.0, 100_000).own_delay_estimate(QUERIED, 5.0) == 100.0
 
     def test_meetings_needed_ceiling(self):
         # 2.5 opportunities needed -> 3 meetings.
-        assert delay.meetings_needed(1500, 1000, 1000) == 3
+        holder = _holder(1.0, 1000, queued_ahead=1500)
+        assert holder.own_delay_estimate(QUERIED, 5.0) == 3.0
 
     def test_meetings_needed_invalid_packet_size(self):
+        # A packet of no size never reaches the estimator.
         with pytest.raises(ValueError):
-            delay.meetings_needed(0, 0, 1000)
+            Packet(packet_id=3, source=0, destination=9, size=0)
 
     def test_direct_delivery_delay(self):
-        value = delay.direct_delivery_delay(100.0, 1500, 1000, 1000)
+        value = _holder(100.0, 1000, queued_ahead=1500).own_delay_estimate(QUERIED, 5.0)
         assert value == pytest.approx(300.0)
 
     def test_direct_delivery_delay_never_meet(self):
-        assert math.isinf(delay.direct_delivery_delay(float("inf"), 0, 1000, 1000))
+        holder = _holder(float("inf"), 1000, queued_ahead=1500)
+        assert math.isinf(holder.own_delay_estimate(QUERIED, 5.0))
 
     def test_combined_remaining_delay_single(self):
         assert delay.combined_remaining_delay([120.0]) == pytest.approx(120.0)
@@ -63,8 +86,9 @@ class TestDelayPrimitives:
         assert two > one
 
     def test_extra_replica_reduces_delay(self):
-        before = delay.combined_remaining_delay([200.0])
-        after = delay.expected_delay_with_extra_replica([200.0], 200.0)
+        rate = delay.delivery_rate([200.0])
+        before = delay.remaining_delay_from_rate(rate)
+        after = delay.remaining_delay_from_rate(delay.add_delay_to_rate(rate, 200.0))
         assert after == pytest.approx(before / 2)
 
     def test_uniform_closed_form_validation(self):

@@ -189,23 +189,23 @@ class TestTransferSizeEstimator:
     def test_first_observation(self):
         estimator = TransferSizeEstimator()
         estimator.record(1, 1000.0)
-        assert estimator.expected_bytes(1) == pytest.approx(1000.0)
+        assert estimator.expected_bytes_or_none(1) == pytest.approx(1000.0)
         assert estimator.observations == 1
 
     def test_moving_average(self):
         estimator = TransferSizeEstimator(smoothing=0.5)
         estimator.record(1, 1000.0)
         estimator.record(1, 2000.0)
-        assert estimator.expected_bytes(1) == pytest.approx(1500.0)
+        assert estimator.expected_bytes_or_none(1) == pytest.approx(1500.0)
 
     def test_global_fallback(self):
         estimator = TransferSizeEstimator()
         estimator.record(1, 800.0)
-        assert estimator.expected_bytes(7) == pytest.approx(800.0)
+        assert estimator.expected_bytes_or_none(7) == pytest.approx(800.0)
 
     def test_default_when_empty(self):
         estimator = TransferSizeEstimator()
-        assert estimator.expected_bytes(3, default=123.0) == 123.0
+        assert estimator.expected_bytes_or_none(3) is None
 
     def test_ignores_non_positive_sizes(self):
         estimator = TransferSizeEstimator()
@@ -219,8 +219,8 @@ class TestTransferSizeEstimator:
         b.record(1, 9999.0)
         b.record(2, 700.0)
         a.merge_snapshot(b.snapshot())
-        assert a.expected_bytes(1) == pytest.approx(500.0)
-        assert a.expected_bytes(2) == pytest.approx(700.0)
+        assert a.expected_bytes_or_none(1) == pytest.approx(500.0)
+        assert a.expected_bytes_or_none(2) == pytest.approx(700.0)
 
     def test_invalid_smoothing(self):
         with pytest.raises(ValueError):

@@ -209,7 +209,13 @@ queue_ops = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(ops=queue_ops, now=st.sampled_from([0.0, 2.0, 5.0, 7.5, 10.0, 50.0]))
 def test_float_keyed_queue_matches_reference_scan(ops, now):
-    """Random churn with tied creation times: every answer equals the scan."""
+    """Random churn with tied creation times: every answer equals the scan.
+
+    Every answer is also bounded by the destination's queued bytes, held
+    packet or not: RAPID's delay estimate skips the queue position
+    whenever the queued bytes plus the packet fit one transfer, which is
+    exact only under this bound.
+    """
     buffer = NodeBuffer()
     packets = {}
     for kind, packet_id, destination, created, size in ops:
@@ -224,6 +230,9 @@ def test_float_keyed_queue_matches_reference_scan(ops, now):
         else:
             buffer.discard(packet_id)
         buffer.check_integrity()
+        for destination in range(4):
+            queued = sum(p.size for p in buffer if p.destination == destination)
+            assert buffer.queued_bytes(destination) == queued
     # Held packets, and non-held ones tied with them (fresh ids between
     # and around the held ones), including creation times after ``now``.
     queries = list(buffer.packets())
@@ -237,3 +246,6 @@ def test_float_keyed_queue_matches_reference_scan(ops, now):
     expected = [buffer._bytes_ahead_scan(packet, now) for packet in queries]
     assert [buffer.bytes_ahead_of(packet, now) for packet in queries] == expected
     assert buffer.bytes_ahead_batch(queries, now).tolist() == expected
+    for packet, ahead in zip(queries, expected):
+        assert ahead <= buffer.queued_bytes(packet.destination)
+

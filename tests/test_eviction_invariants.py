@@ -9,6 +9,7 @@ memo-free eviction cascade and the lazy-heap candidate ranking.
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +18,6 @@ import pytest
 from metadata_oracle import columnar_entries
 from repro import constants, units
 from repro.core.rapid import RapidProtocol
-from repro.core import delay as delay_module
 from repro.dtn.node import Node
 from repro.dtn.packet import Packet, PacketFactory
 from repro.dtn.workload import PoissonWorkload
@@ -360,15 +360,30 @@ class TestLazyHeapRanking:
         rng = np.random.default_rng(0)
         meetings = rng.uniform(1.0, 1e4, size=64)
         meetings[::7] = float("inf")
-        ahead = rng.integers(0, 10**7, size=64).astype(float)
-        sizes = rng.integers(1, 10**5, size=64).astype(float)
+        ahead = rng.integers(0, 10**7, size=64)
+        # Every other queue is short enough that its bytes plus the packet
+        # fit one transfer: those estimates skip the queue position.
+        ahead[::2] //= 10**4
+        queued = ahead + rng.integers(0, 10**3, size=64)
+        sizes = rng.integers(1, 10**5, size=64)
         transfers = rng.uniform(1.0, 10**6, size=64)
+        positioned = []
+
+        def bytes_ahead_batch(packets, now):
+            positioned.extend(p.destination for p in packets)
+            return np.array([ahead[p.destination] for p in packets], dtype=np.float64)
+
         # Packet k goes to destination k, so the holder's per-destination
         # estimates and queue positions are exactly the arrays above.
         holder = SimpleNamespace(
             meetings=SimpleNamespace(expected_meeting_time=lambda k: float(meetings[k])),
             transfer_sizes=SimpleNamespace(expected_bytes_or_none=lambda k: float(transfers[k])),
-            buffer=SimpleNamespace(bytes_ahead_batch=lambda packets, now: ahead.copy()),
+            buffer=SimpleNamespace(
+                queued_bytes=lambda k: int(queued[k]),
+                bytes_ahead_batch=bytes_ahead_batch,
+                bytes_ahead_of=lambda packet, now: int(ahead[packet.destination]),
+            ),
+            _slow_reference=False,
         )
         packets = [
             Packet(packet_id=k, source=99, destination=k, size=int(sizes[k]))
@@ -376,8 +391,8 @@ class TestLazyHeapRanking:
         ]
         x, _, _ = make_rapid_pair()
         vector = x._direct_delays_for_holder(holder, packets, now=0.0)
+        assert 0 < len(positioned) < 64
         for k in range(64):
-            scalar = delay_module.direct_delivery_delay(
-                meetings[k], ahead[k], sizes[k], transfers[k]
-            )
-            assert vector[k] == scalar
+            scalar = RapidProtocol.own_delay_estimate(holder, packets[k], 0.0)
+            full = meetings[k] * max(math.ceil((ahead[k] + sizes[k]) / transfers[k]), 1)
+            assert vector[k] == scalar == full

@@ -136,6 +136,21 @@ class TestConfigs:
         with pytest.raises(ConfigurationError, match="buffer_capacity"):
             build(capacity)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda seed: TraceExperimentConfig(seed=seed),
+            lambda seed: TraceExperimentConfig.ci_scale(seed=seed),
+            lambda seed: SyntheticExperimentConfig(seed=seed),
+            lambda seed: SyntheticExperimentConfig.ci_scale(seed=seed),
+        ],
+        ids=["trace", "trace-ci", "synthetic", "synthetic-ci"],
+    )
+    def test_configs_reject_negative_seeds(self, build):
+        with pytest.raises(ConfigurationError, match="seed must be non-negative"):
+            build(-1)
+        assert build(0).seed == 0
+
     def test_configs_accept_unlimited_buffer_capacity(self):
         assert TraceExperimentConfig(buffer_capacity=float("inf")).buffer_capacity == float("inf")
         synthetic = SyntheticExperimentConfig.ci_scale().with_buffer(float("inf"))

@@ -10,7 +10,11 @@ from metadata_oracle import columnar_entries
 from repro.analysis.fairness import jain_fairness_index
 from repro.core import delay as delay_module
 from repro.core.meeting_estimator import MeetingTimeEstimator
+from repro.core.rapid import RapidProtocol
+from repro.core.transfer_estimator import TransferSizeEstimator
+from repro.core.utility import DeadlineMetric, make_metric
 from repro.dtn.buffer import NodeBuffer
+from repro.dtn.node import Node
 from repro.dtn.packet import Packet, PacketFactory
 from repro.dtn.scheduler import EventQueue
 from repro.dtn.events import (
@@ -24,6 +28,7 @@ from repro.dtn.events import (
     PacketCreationEvent,
 )
 from repro.mobility.schedule import Contact, Meeting, MeetingSchedule
+from repro.routing.base import ProtocolContext
 
 # ----------------------------------------------------------------------
 # Buffer invariants
@@ -76,6 +81,16 @@ def test_bytes_ahead_is_consistent_total(ages):
 # ----------------------------------------------------------------------
 # Delay estimation invariants
 # ----------------------------------------------------------------------
+def _rapid_holder(meeting: float, transfer: float) -> RapidProtocol:
+    """A RAPID node whose ``E(M)`` is *meeting* for every destination and
+    whose expected transfer is *transfer* bytes."""
+    node = Node.with_capacity(0, float("inf"))
+    holder = RapidProtocol(node, ProtocolContext(nodes={0: node}))
+    holder.meetings.expected_meeting_time = lambda destination: meeting
+    holder.transfer_sizes = TransferSizeEstimator(initial_estimate=transfer)
+    return holder
+
+
 delay_lists = st.lists(
     st.one_of(st.floats(min_value=0.1, max_value=1e6), st.just(float("inf"))),
     min_size=1,
@@ -91,9 +106,72 @@ def test_combined_delay_never_exceeds_best_replica(delays):
 
 @given(delays=delay_lists, extra=st.floats(min_value=0.1, max_value=1e6))
 def test_adding_a_replica_never_hurts(delays, extra):
-    before = delay_module.combined_remaining_delay(delays)
-    after = delay_module.expected_delay_with_extra_replica(delays, extra)
+    rate = delay_module.delivery_rate(delays)
+    before = delay_module.remaining_delay_from_rate(rate)
+    after = delay_module.remaining_delay_from_rate(delay_module.add_delay_to_rate(rate, extra))
     assert after <= before + 1e-9
+
+
+#: Every kind of replica delay the fold distinguishes: ``None`` (skipped),
+#: ``<= 0`` (immediate delivery, infinite rate), ``inf`` (never meets)
+#: and ordinary delays, down to ones whose reciprocal overflows to an
+#: infinite rate without any delay being ``<= 0``.
+fold_delays = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, -3.0, -math.inf, math.inf, 5e-324]),
+    st.floats(min_value=1e-3, max_value=1e6),
+)
+
+
+@given(delays=st.lists(fold_delays, max_size=8), extra=fold_delays)
+def test_one_fold_step_equals_refolding_the_extended_list(delays, extra):
+    rate = delay_module.add_delay_to_rate(delay_module.delivery_rate(delays), extra)
+    assert float.hex(rate) == float.hex(delay_module.delivery_rate(delays + [extra]))
+
+
+def _refolded_marginal(metric, packet, delays, extra, now):
+    """``marginal_utility`` computed by refolding the extended list."""
+    extended = delays + [extra]
+    if isinstance(metric, DeadlineMetric):
+        window = metric._window(packet, now)
+        if window is not None and window <= 0:
+            return 0.0
+        if window is None:
+            before = delay_module.combined_remaining_delay(delays)
+            after = delay_module.combined_remaining_delay(extended)
+            return 1.0 if before == math.inf and after != math.inf else 0.0
+        p_before = delay_module.delivery_probability_within(delays, window)
+        p_after = delay_module.delivery_probability_within(extended, window)
+        return max(0.0, p_after - p_before)
+    before = delay_module.combined_remaining_delay(delays)
+    after = delay_module.combined_remaining_delay(extended)
+    if before == math.inf and after == math.inf:
+        return 0.0
+    if before == math.inf:
+        return 1.0 / max(metric.clip_delay(after, now), 1e-9)
+    return max(0.0, metric.clip_delay(before, now) - metric.clip_delay(after, now))
+
+
+@settings(max_examples=300)
+@given(
+    metric=st.sampled_from(["average_delay", "max_delay", "deadline"]),
+    delays=st.lists(fold_delays, max_size=8),
+    extra=fold_delays,
+    # None: no deadline (the deadline metric's "ever delivered" branch).
+    deadline=st.sampled_from([None, 5.0, 60.0, 1e5]),
+    horizon=st.sampled_from([None, 120.0, 1e6]),
+    now=st.sampled_from([10.0, 100.0]),
+)
+def test_marginal_utility_folds_the_extra_replica_once(
+    metric, delays, extra, deadline, horizon, now
+):
+    """Each metric's one-step fold equals refolding the extended list, bit for bit."""
+    scorer = make_metric(metric)
+    scorer.set_horizon(horizon)
+    packet = Packet(1, 0, 9, 1000, creation_time=0.0, deadline=deadline)
+    assert float.hex(scorer.marginal_utility(packet, delays, extra, now)) == float.hex(
+        _refolded_marginal(scorer, packet, delays, extra, now)
+    )
 
 
 @given(delays=delay_lists, window=st.floats(min_value=0.1, max_value=1e5))
@@ -115,15 +193,22 @@ def test_delivery_probability_monotone_in_window(delays, w1, w2):
 
 
 @given(
-    bytes_ahead=st.floats(min_value=0, max_value=1e7),
+    bytes_ahead=st.integers(min_value=0, max_value=10**7),
     packet_size=st.integers(min_value=1, max_value=100_000),
     transfer=st.floats(min_value=1, max_value=1e7),
 )
 def test_meetings_needed_at_least_one_and_monotone(bytes_ahead, packet_size, transfer):
-    base = delay_module.meetings_needed(bytes_ahead, packet_size, transfer)
-    more_queued = delay_module.meetings_needed(bytes_ahead * 2 + 1, packet_size, transfer)
-    assert base >= 1
-    assert more_queued >= base
+    """RAPID's estimate is at least one meeting and grows with the queue ahead."""
+
+    def estimate(queued_ahead: int) -> float:
+        holder = _rapid_holder(meeting=100.0, transfer=transfer)
+        if queued_ahead:
+            holder.buffer.add(Packet(1, 0, 9, queued_ahead, creation_time=0.0))
+        return holder.own_delay_estimate(Packet(2, 0, 9, packet_size, creation_time=1.0), 2.0)
+
+    base = estimate(bytes_ahead)
+    assert base >= 100.0
+    assert estimate(bytes_ahead * 2 + 1) >= base
 
 
 # ----------------------------------------------------------------------

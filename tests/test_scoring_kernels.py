@@ -170,6 +170,72 @@ def test_scalar_delay_formula_matches_kernel_bit_for_bit(
     assert [float.hex(value) for value in kernel.tolist()] == list(map(float.hex, scalar))
 
 
+def _full_formula(x: RapidProtocol, packet, now: float) -> float:
+    """``E(M) * max(ceil((b + s) / B), 1)`` with the reference scan for ``b``."""
+    meeting = x.meetings.expected_meeting_time(packet.destination)
+    transfer = x.transfer_sizes.expected_bytes_or_none(packet.destination)
+    if transfer is None:
+        transfer = packet.size
+    if not transfer > 0:
+        return meeting
+    ahead = x.buffer._bytes_ahead_scan(packet, now)
+    return meeting * max(math.ceil((ahead + packet.size) / transfer), 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    packets=st.lists(
+        st.tuples(
+            # Destination 3 is met (finite E(M)); 6 never (E(M) = inf).
+            st.sampled_from([3, 6]),
+            st.integers(min_value=1, max_value=2000),
+            # Few creation times: runs of equal times, some after ``now``.
+            st.sampled_from([0.0, 4.0, 8.0, 30.0]),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    pivot=st.integers(min_value=0, max_value=11),
+    transfer=st.sampled_from(
+        [None, 0.0, -512.0, math.inf, 1500.0, "boundary", "one byte over"]
+    ),
+    now=st.sampled_from([2.0, 10.0]),
+)
+def test_fast_delay_matches_the_full_formula(packets, pivot, transfer, now):
+    """Scalar and batched estimates, queue-position shortcut included,
+    equal the full formula bit for bit.
+
+    ``boundary`` sets ``B`` to the pivot packet's destination queue plus
+    its own size (``queued + s == B``, the last case the shortcut takes);
+    ``one byte over`` sets it one byte lower, so ``b`` decides.
+    """
+    x, peer = _pair()
+    for clock in (7.3, 20.4, 41.9):
+        x.meetings.record_meeting(3, clock)
+    factory = PacketFactory()
+    queried = []
+    for destination, size, created, buffered in packets:
+        packet = factory.create(
+            source=9, destination=destination, size=size, creation_time=created
+        )
+        queried.append(packet)
+        if buffered:
+            x.buffer.add(packet, now)
+    chosen = queried[pivot % len(queried)]
+    if transfer == "boundary":
+        transfer = float(x.buffer.queued_bytes(chosen.destination) + chosen.size)
+    elif transfer == "one byte over":
+        transfer = float(x.buffer.queued_bytes(chosen.destination) + chosen.size - 1)
+    x.transfer_sizes = TransferSizeEstimator(initial_estimate=transfer)
+    full = [float.hex(float(_full_formula(x, packet, now))) for packet in queried]
+    scalar = [float.hex(float(x.own_delay_estimate(packet, now))) for packet in queried]
+    for holder in (x, peer):
+        batch = holder._direct_delays_for_holder(x, queried, now).tolist()
+        assert list(map(float.hex, batch)) == full
+    assert scalar == full
+
+
 # ----------------------------------------------------------------------
 # Sequential replica-rate fold
 # ----------------------------------------------------------------------
