@@ -7,12 +7,12 @@ Runs one buffer-constrained synthetic RAPID cell twice:
    ``bytes_ahead`` / candidate-utility / eviction array kernels, cached
    buffer snapshots, the per-destination serve-order index and the
    column-block metadata exchange;
-2. the reference path (``REPRO_SLOW_ESTIMATES=1``) — the original
-   O(buffer) scans, scalar per-packet estimates, eager full sort and
-   per-step eviction rescoring.
+2. the reference path (``tests/rapid_oracle.py``'s
+   ``reference_paths()``) — the original O(buffer) scans, scalar
+   per-packet estimates, eager full sort and per-packet eviction scoring.
 
 Both must produce **byte-identical** ``SimulationResult.to_dict()``
-output.  RAPID's two scoring dispatches (``choose_eviction_victim`` and
+output.  RAPID's two scoring dispatches (``_eviction_scores`` and
 ``_candidate_scores``) each pick the array kernel or the scalar fold by
 candidate count, and the fast run must take both arms of both, so the
 identity check covers all four.  Its delay estimates must likewise take
@@ -41,7 +41,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import resource
 import sys
 import time
@@ -50,6 +49,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 import numpy as np
 
@@ -63,10 +63,10 @@ from repro.engine import ExperimentEngine, ScenarioGrid
 from repro.experiments.config import ProtocolSpec, SyntheticExperimentConfig
 from repro.mobility.exponential import ExponentialMobility
 from repro.mobility.schedule import Meeting, MeetingSchedule
-from repro.profiling import ENV_SLOW_ESTIMATES
 from repro.routing.registry import create_factory
 
 from bench_config import emit_bench_json
+from rapid_oracle import reference_paths
 
 #: Minimum fast-vs-reference wall-time speedup the gate enforces.  The
 #: full cell is deep enough (1.5 MB buffers, ~28k packets) that the
@@ -85,7 +85,7 @@ FULL_MIN_PACKETS = 20000
 
 #: RAPID's scoring dispatches; each picks an arm per call in
 #: ``RapidProtocol._scalar_replica_delays``.
-SCORING_DISPATCHES = ("choose_eviction_victim", "_candidate_scores")
+SCORING_DISPATCHES = ("_eviction_scores", "_candidate_scores")
 
 #: The two ways RAPID answers a delay estimate: from the destination's
 #: queued bytes alone, or from the packet's queue position ``b``.
@@ -140,10 +140,7 @@ def _hotpath_inputs(quick: bool):
 
 def _run_hotpath_cell(quick: bool, slow: bool) -> Tuple[Dict[str, object], float, int]:
     """Run the cell on one path; return (to_dict payload, wall seconds, #packets)."""
-    previous = os.environ.pop(ENV_SLOW_ESTIMATES, None)
-    if slow:
-        os.environ[ENV_SLOW_ESTIMATES] = "1"
-    try:
+    with reference_paths() if slow else contextlib.nullcontext():
         schedule, packets, capacity = _hotpath_inputs(quick)
         started = time.perf_counter()
         result = run_simulation(
@@ -154,11 +151,7 @@ def _run_hotpath_cell(quick: bool, slow: bool) -> Tuple[Dict[str, object], float
             seed=5,
         )
         elapsed = time.perf_counter() - started
-        return result.to_dict(), elapsed, len(packets)
-    finally:
-        os.environ.pop(ENV_SLOW_ESTIMATES, None)
-        if previous is not None:
-            os.environ[ENV_SLOW_ESTIMATES] = previous
+    return result.to_dict(), elapsed, len(packets)
 
 
 @contextlib.contextmanager
@@ -360,7 +353,7 @@ def run_gate(
         f"hot-path cell too small: {num_packets} packets < {min_packets}"
     )
     assert _canonical([fast_payload]) == _canonical([slow_payload]), (
-        "fast path output differs from the REPRO_SLOW_ESTIMATES reference"
+        "fast path output differs from the reference_paths() reference"
     )
     scoring_arms = {
         name: {arm: arms[name, arm] for arm in ("kernel", "scalar")}

@@ -85,6 +85,7 @@ from .experiments import (
     sweep,
     sweep_cells,
 )
+from .experiments.config import _validate_positive
 from .exceptions import ConfigurationError
 from .mobility import MOBILITY_MODEL_NAMES
 from .mobility.spatial import SPATIAL_MODELS
@@ -866,8 +867,10 @@ def _resolve_config(args: argparse.Namespace, config):
             )
     spatial = config.spatial
     if arena is not None:
+        _validate_positive("--arena", arena)
         spatial = spatial.with_arena(arena)
     if radio_range is not None:
+        _validate_positive("--radio-range", radio_range)
         spatial = spatial.with_radio_range(radio_range)
     if spatial is not config.spatial:
         config = config.with_spatial(spatial)

@@ -155,13 +155,9 @@ class InBandControlChannel(ControlChannel):
         """
         tolerance = constants.RAPID_ESTIMATE_TOLERANCE
         ids = sender.buffer.packet_ids
-        if sender._slow_reference:
-            estimates = np.array([sender.own_delay_estimate(p, now) for p in sender.buffer.packets()])
-        else:
-            # One array-kernel pass over the whole buffer instead of a
-            # scalar own_delay_estimate call per packet (bit-identical;
-            # the golden tests hold fast and reference paths together).
-            estimates = sender.buffer_delay_estimates(now)
+        # One pass over the whole buffer, bit-identical to a scalar
+        # own_delay_estimate call per packet.
+        estimates = sender.buffer_delay_estimates(now)
         sent = sender.sent_buffer_estimates.setdefault(receiver.node_id, {})
         last = np.fromiter(map(sent.get, ids, repeat(np.nan)), dtype=np.float64, count=len(ids))
         # An infinite estimate is always re-sent (its gap stays nan), so

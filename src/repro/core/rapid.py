@@ -13,6 +13,14 @@ implemented here or in sibling modules:
   :mod:`repro.core.delay` fed with per-replica state from the metadata
   store, meeting-time estimator and transfer-size estimator;
 * the **control channel** (Section 4.2): :mod:`repro.core.control`.
+
+Estimates and scores are computed for a whole meeting at once: one pass
+per holder for the direct-delivery delays, and array kernels or a scalar
+fold, picked by candidate count, for ranking and eviction.  All of it is
+bit-identical to the per-packet formulas of the paper; the test oracle
+``tests/rapid_oracle.py`` swaps those formulas back in
+(``reference_paths()``) so the golden tests and the hot-path benchmark can
+compare whole simulations.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ import numpy as np
 from .. import constants
 from ..dtn.node import Node
 from ..dtn.packet import Packet
-from ..profiling import slow_reference_mode
 from ..routing.base import ProtocolContext, RoutingProtocol, TransferBudget
 from . import delay as delay_module
 from .control import ControlChannel, GlobalControlChannel, make_channel
@@ -112,10 +119,6 @@ class RapidProtocol(RoutingProtocol):
         self.sent_table_versions: Dict[int, int] = {}
 
         self._use_oracle = isinstance(self.channel, GlobalControlChannel)
-        #: ``REPRO_SLOW_ESTIMATES=1`` selects the reference (pre-incremental)
-        #: ranking and eviction paths; output must match the fast path bit
-        #: for bit, which the golden tests assert.
-        self._slow_reference = slow_reference_mode()
         # Weak values: the registry sits in the context every instance
         # holds, so strong values would make each simulation's protocols
         # (and their metadata columns) a reference cycle that outlives the
@@ -183,9 +186,7 @@ class RapidProtocol(RoutingProtocol):
         if transfer is None:
             transfer = size
         buffer = self.buffer
-        if transfer > 0 and (
-            self._slow_reference or buffer.queued_bytes(destination) + size > transfer
-        ):
+        if transfer > 0 and buffer.queued_bytes(destination) + size > transfer:
             meetings = math.ceil((buffer.bytes_ahead_of(packet, now) + size) / transfer)
             if meetings > 1:
                 return meeting * meetings
@@ -211,10 +212,6 @@ class RapidProtocol(RoutingProtocol):
     def expected_remaining_delay(self, packet: Packet, now: float) -> float:
         """``A(i)``: expected remaining delay considering all known replicas."""
         return delay_module.combined_remaining_delay(self.replica_delays(packet, now))
-
-    def expected_delay(self, packet: Packet, now: float) -> float:
-        """``D(i) = T(i) + A(i)``."""
-        return packet.age(now) + self.expected_remaining_delay(packet, now)
 
     def packet_utility(self, packet: Packet, now: float) -> float:
         """``U_i`` under the configured metric."""
@@ -262,11 +259,6 @@ class RapidProtocol(RoutingProtocol):
         if self._use_oracle:
             self._purge_globally_acked(now)
 
-        if self._slow_reference:
-            for _, packet in self._ranked_candidates(peer, now):
-                yield packet
-            return
-
         # Lazy heap: scoring every candidate is unavoidable (the rank is a
         # total order over all of them), but the full O(n log n) sort is
         # not — the simulator usually pulls only the few candidates that
@@ -281,60 +273,57 @@ class RapidProtocol(RoutingProtocol):
         while heap:
             yield heapq.heappop(heap)[3]
 
-    def _ranked_candidates(
-        self, peer: "RapidProtocol", now: float
-    ) -> List[Tuple[Tuple[int, float], Packet]]:
-        """Candidates eagerly ranked for replication (reference path).
-
-        Packets are ordered by decreasing marginal utility per byte (the
-        selection algorithm of Section 3.4).  Packets whose replication
-        cannot improve the metric at all — e.g. the peer cannot reach the
-        destination within ``h`` hops, or the deadline has already passed —
-        are not dropped but pushed to the very end of the order: the cutoff
-        the paper describes emerges from the limited transfer opportunity,
-        not from an explicit filter.
-        """
-        ranked = [(rank, packet) for rank, _, packet in self._candidate_scores(peer, now)]
-        ranked.sort(key=lambda item: item[0], reverse=True)
-        return ranked
-
     def _candidate_scores(
         self, peer: "RapidProtocol", now: float
     ) -> List[Tuple[Tuple[int, float], int, Packet]]:
         """Score every transferable candidate: ``((improves, key), index, packet)``.
 
-        Both ranking paths share this scoring; they differ only in how the
-        order is materialised (eager sort vs. lazy heap).  The fast path
-        computes each participant's direct-delivery delays for all
-        candidates in one pass (:meth:`_direct_delays_for_holder`), then
-        picks an arm by candidate count (:meth:`_scalar_replica_delays`):
-        the array kernel (:meth:`_rank_score_arrays`) from
-        ``_RANK_KERNEL_MIN`` candidates on, the scalar fold below it.  Both
-        arms give the same ranks and audit.  The reference path
-        (``REPRO_SLOW_ESTIMATES=1``) and the global-channel oracle — whose
-        per-replica estimates depend on every holder's live buffer — use
-        the original per-packet scalar calls.
+        Packets rank by decreasing marginal utility per byte (the
+        selection algorithm of Section 3.4).  Packets whose replication
+        cannot improve the metric at all — e.g. the peer cannot reach the
+        destination within ``h`` hops, or the deadline has already passed —
+        are not dropped but rank after every packet that can: the cutoff
+        the paper describes emerges from the limited transfer opportunity,
+        not from an explicit filter.
+
+        Each participant's direct-delivery delays for all candidates come
+        from one pass (:meth:`_direct_delays_for_holder`), then the
+        candidate count picks an arm (:meth:`_scalar_replica_delays`): the
+        array kernel (:meth:`_rank_score_arrays`) from ``_RANK_KERNEL_MIN``
+        candidates on, the scalar fold below it.  Both arms give the same
+        ranks and audit.  The global-channel oracle, whose per-replica
+        estimates depend on every holder's live buffer, scores packet by
+        packet (:meth:`_per_packet_candidate_scores`).
         """
         candidates = self.transferable_packets(peer)
-        use_max_delay = isinstance(self.metric, MaximumDelayMetric)
-        scored: List[Tuple[Tuple[int, float], int, Packet]] = []
-        marginals: List[float] = []
-        if self._slow_reference or self._use_oracle or not candidates:
-            for index, packet in enumerate(candidates):
-                delays_before = self.replica_delays(packet, now)
-                extra = peer.own_delay_estimate(packet, now)
-                rank, marginal = self._rank_key(
-                    packet, delays_before, extra, now, use_max_delay
-                )
-                scored.append((rank, index, packet))
-                marginals.append(marginal)
-            self._audit_replication_rank(peer, now, candidates, scored, marginals)
-            return scored
-
+        if self._use_oracle or not candidates:
+            return self._per_packet_candidate_scores(peer, candidates, now)
         delay_lists = self._scalar_replica_delays(candidates, now, _RANK_KERNEL_MIN)
         if delay_lists is None:
             return self._rank_score_arrays(peer, candidates, now)
         peer_delays = self._direct_delays_for_holder(peer, candidates, now).tolist()
+        return self._rank_scalar(peer, candidates, delay_lists, peer_delays, now)
+
+    def _per_packet_candidate_scores(
+        self, peer: "RapidProtocol", candidates: Sequence[Packet], now: float
+    ) -> List[Tuple[Tuple[int, float], int, Packet]]:
+        """:meth:`_candidate_scores` by one scalar estimate call per replica."""
+        delay_lists = [self.replica_delays(packet, now) for packet in candidates]
+        peer_delays = [peer.own_delay_estimate(packet, now) for packet in candidates]
+        return self._rank_scalar(peer, candidates, delay_lists, peer_delays, now)
+
+    def _rank_scalar(
+        self,
+        peer: "RapidProtocol",
+        candidates: Sequence[Packet],
+        delay_lists: Sequence[Sequence[float]],
+        peer_delays: Sequence[float],
+        now: float,
+    ) -> List[Tuple[Tuple[int, float], int, Packet]]:
+        """The scalar fold of :meth:`_candidate_scores` over known delays."""
+        use_max_delay = isinstance(self.metric, MaximumDelayMetric)
+        scored: List[Tuple[Tuple[int, float], int, Packet]] = []
+        marginals: List[float] = []
         for index, (packet, delays_before, extra) in enumerate(
             zip(candidates, delay_lists, peer_delays)
         ):
@@ -352,8 +341,8 @@ class RapidProtocol(RoutingProtocol):
         Folds the per-replica rates, the before/after combined delays and
         the marginal utilities of every candidate in a handful of numpy
         passes.  Each element is bit-identical to the scalar rank (the
-        golden tests hold the fast path to the ``REPRO_SLOW_ESTIMATES=1``
-        reference).
+        golden tests hold the fast path to the per-packet reference of
+        ``tests/rapid_oracle.py``).
         """
         own_delays = self._direct_delays_for_holder(self, candidates, now)
         peer_delays = self._direct_delays_for_holder(peer, candidates, now)
@@ -426,7 +415,7 @@ class RapidProtocol(RoutingProtocol):
         """Record one scalar-path ranking pass in the decision audit.
 
         The vector-kernel branch emits directly from its arrays; the
-        scalar branches (slow reference, oracle, non-average-delay
+        scalar branches (per-packet scoring, small sets, non-average-delay
         metrics) go through this helper so every path produces the same
         event: candidates, score, marginal and improves.
         """
@@ -455,18 +444,16 @@ class RapidProtocol(RoutingProtocol):
         ``b`` never exceeds the queued bytes, so a packet whose queue plus
         own size fits one expected transfer (``queued + s <= B``, an exact
         int/float comparison) needs one meeting wherever it stands; only
-        the other packets' ``b`` come from one ``bytes_ahead_batch`` call
-        (every packet's under ``REPRO_SLOW_ESTIMATES=1``).  Element ``k``
-        equals the scalar :meth:`own_delay_estimate` bit for bit: the same
-        quotient, ceil and product, an infinite ``E(M)`` multiplying
-        through to :data:`~repro.constants.NEVER_MEET`, the packet's own
-        size standing in for a missing transfer estimate and one meeting
-        for ``B <= 0``.
+        the other packets' ``b`` come from one ``bytes_ahead_batch`` call.
+        Element ``k`` equals the scalar :meth:`own_delay_estimate` bit for
+        bit: the same quotient, ceil and product, an infinite ``E(M)``
+        multiplying through to :data:`~repro.constants.NEVER_MEET`, the
+        packet's own size standing in for a missing transfer estimate and
+        one meeting for ``B <= 0``.
         """
         meeting_time = holder.meetings.expected_meeting_time
         transfer_bytes = holder.transfer_sizes.expected_bytes_or_none
         queued_bytes = holder.buffer.queued_bytes
-        full = self._slow_reference
         per_destination: Dict[int, Tuple[float, Optional[float], int]] = {}
         delays: List[float] = []
         positioned: List[Tuple[int, Packet, float]] = []
@@ -483,7 +470,7 @@ class RapidProtocol(RoutingProtocol):
             size = packet.size
             if transfer is None:
                 transfer = size
-            if transfer > 0 and (full or queued + size > transfer):
+            if transfer > 0 and queued + size > transfer:
                 positioned.append((len(delays), packet, transfer))
             delays.append(meeting)
         if positioned:
@@ -618,9 +605,9 @@ class RapidProtocol(RoutingProtocol):
         (:meth:`_eviction_score_array`) from ``_EVICTION_KERNEL_MIN`` on,
         the scalar fold below it.  A lone candidate is taken unscored
         unless a decision recorder wants its score.  The global-channel
-        oracle and ``REPRO_SLOW_ESTIMATES=1`` score with the per-packet
-        reference loop.  Every path evicts the first minimum and records
-        the same audit event.
+        oracle scores packet by packet
+        (:meth:`_per_packet_eviction_scores`).  Every path evicts the first
+        minimum and records the same audit event.
         """
         recorder = self.context.decisions
         reason = "lowest_score"
@@ -652,35 +639,14 @@ class RapidProtocol(RoutingProtocol):
                     )
                 return None
             reason = "own_fallback_lowest_score"
-        if self._use_oracle or self._slow_reference:
-            best_score: Optional[float] = None
-            audit_scores = []
-            for packet in candidates:
-                remaining = self.expected_remaining_delay(packet, now)
-                score = self.metric.eviction_score(packet, remaining, now)
-                audit_scores.append(score)
-                if best_score is None or score < best_score:
-                    best_score = score
-                    victim_id = packet.packet_id
+        if self._use_oracle:
+            audit_scores, lowest = self._per_packet_eviction_scores(candidates, now)
         elif len(candidates) == 1 and recorder is None:
             # A lone candidate is the victim whatever its score.
             return candidates[0].packet_id
         else:
-            delay_lists = self._scalar_replica_delays(candidates, now, _EVICTION_KERNEL_MIN)
-            if delay_lists is None:
-                audit_scores = self._eviction_score_array(candidates, now)
-                lowest = int(np.argmin(audit_scores))
-            else:
-                score = self.metric.eviction_score
-                combined = delay_module.combined_remaining_delay
-                audit_scores = [
-                    score(packet, combined(delays), now)
-                    for packet, delays in zip(candidates, delay_lists)
-                ]
-                lowest = min(range(len(candidates)), key=audit_scores.__getitem__)
-            # Both arms take the first minimum, as the reference loop's
-            # strict ``<`` does.
-            victim_id = candidates[lowest].packet_id
+            audit_scores, lowest = self._eviction_scores(candidates, now)
+        victim_id = candidates[lowest].packet_id
         if recorder is not None:
             recorder.eviction_choice(
                 self.node_id, now, self.name, incoming.packet_id,
@@ -688,6 +654,39 @@ class RapidProtocol(RoutingProtocol):
                 score=audit_scores, victim=victim_id, reason=reason,
             )
         return victim_id
+
+    def _eviction_scores(
+        self, candidates: List[Packet], now: float
+    ) -> Tuple[Sequence[float], int]:
+        """Every candidate's eviction score and the index of the first minimum.
+
+        The candidate count picks the arm (:meth:`_scalar_replica_delays`);
+        both take the first minimum.
+        """
+        delay_lists = self._scalar_replica_delays(candidates, now, _EVICTION_KERNEL_MIN)
+        if delay_lists is None:
+            scores = self._eviction_score_array(candidates, now)
+            return scores, int(np.argmin(scores))
+        return self._evict_scalar(candidates, delay_lists, now)
+
+    def _per_packet_eviction_scores(
+        self, candidates: List[Packet], now: float
+    ) -> Tuple[List[float], int]:
+        """:meth:`_eviction_scores` by one scalar estimate call per replica."""
+        delay_lists = [self.replica_delays(packet, now) for packet in candidates]
+        return self._evict_scalar(candidates, delay_lists, now)
+
+    def _evict_scalar(
+        self, candidates: List[Packet], delay_lists: Sequence[Sequence[float]], now: float
+    ) -> Tuple[List[float], int]:
+        """The scalar fold of :meth:`_eviction_scores` over known delays."""
+        score = self.metric.eviction_score
+        combined = delay_module.combined_remaining_delay
+        scores = [
+            score(packet, combined(delays), now)
+            for packet, delays in zip(candidates, delay_lists)
+        ]
+        return scores, min(range(len(scores)), key=scores.__getitem__)
 
     def _eviction_score_array(self, candidates: List[Packet], now: float) -> np.ndarray:
         """Eviction scores of all *candidates* in one array-kernel pass.
@@ -707,28 +706,3 @@ class RapidProtocol(RoutingProtocol):
         store = self.buffer.store
         ages = np.maximum(0.0, now - store.creation_times[store.rows_for(candidates)])
         return self.metric.eviction_score_array(ages, remaining, now)
-
-    # ------------------------------------------------------------------
-    # Introspection helpers (used by tests and examples)
-    # ------------------------------------------------------------------
-    def known_replica_count(self, packet_id: int) -> int:
-        """Number of replicas this node believes exist for *packet_id*."""
-        holders = set(self.metadata.holders(packet_id))
-        if packet_id in self.buffer:
-            holders.add(self.node_id)
-        return len(holders)
-
-    def describe_buffer(self, now: float) -> List[Dict[str, float]]:
-        """Per-packet view of the buffer (id, age, utility, replicas)."""
-        description = []
-        for packet in self.buffer:
-            description.append(
-                {
-                    "packet_id": packet.packet_id,
-                    "age": packet.age(now),
-                    "expected_delay": self.expected_delay(packet, now),
-                    "utility": self.packet_utility(packet, now),
-                    "known_replicas": self.known_replica_count(packet.packet_id),
-                }
-            )
-        return description

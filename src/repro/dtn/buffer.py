@@ -18,10 +18,11 @@ queued total.  ``bytes_ahead_of`` is one binary search (more only inside
 a run of equal times), with no tuple or list built, and
 :meth:`bytes_ahead_batch` answers a whole meeting's queries the same way
 into an array.  Protocols that never ask pay only the list surgery on
-:meth:`NodeBuffer.add` and :meth:`NodeBuffer.remove`.  Setting
-``REPRO_SLOW_ESTIMATES=1`` restores the original O(buffer) reference
-scan; both paths return identical values (the golden tests assert
-bit-identical simulation output).
+:meth:`NodeBuffer.add` and :meth:`NodeBuffer.remove`.  The original
+O(buffer) scan survives for the one case the index cannot order (a query
+``now`` before a stored packet's creation); the test oracle
+``tests/rapid_oracle.py`` swaps it in everywhere, and the golden tests
+assert bit-identical simulation output on both.
 
 The buffer is also the attachment point of the structure-of-arrays
 :class:`~repro.dtn.packet_store.PacketStore`: every inserted packet is
@@ -41,7 +42,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import BufferError_
-from ..profiling import slow_reference_mode
 from .packet import Packet
 from .packet_store import PacketStore
 
@@ -138,7 +138,6 @@ class NodeBuffer:
         #: the per-node peak occupancy reported by the metrics registry).
         self._peak = 0
         self._by_destination: Dict[int, _DestinationQueue] = {}
-        self._slow_reference = slow_reference_mode()
         self._store = store
         # Snapshot caches, invalidated on any mutation.
         self._snapshot: Optional[Tuple[Packet, ...]] = None
@@ -353,17 +352,17 @@ class NodeBuffer:
         with the destination are needed before *packet* can be delivered
         directly.
 
-        The fast path answers from the per-destination serve-order index
-        in O(log n) without allocating; the reference scan remains for
-        ``REPRO_SLOW_ESTIMATES=1`` and for the degenerate case where
-        ``now`` precedes a stored packet's creation time (age clamping can
-        then reorder the queue, which the static index cannot represent).
+        The answer comes from the per-destination serve-order index in
+        O(log n) without allocating; the O(buffer) scan remains for the
+        degenerate case where ``now`` precedes a stored packet's creation
+        time (age clamping can then reorder the queue, which the static
+        index cannot represent).
         """
         queue = self._by_destination.get(packet.destination)
         if queue is None:
             return 0
         created = packet.creation_time
-        if self._slow_reference or created > now or queue.times[-1] > now:
+        if created > now or queue.times[-1] > now:
             return self._bytes_ahead_scan(packet, now)
         return queue.ahead(created, packet.packet_id)
 
@@ -376,9 +375,6 @@ class NodeBuffer:
         destination queue's prefix sums, so a whole meeting's queries
         cost O(C log B) with no per-call array set-up.
         """
-        if self._slow_reference:
-            ahead = [self._bytes_ahead_scan(packet, now) for packet in packets]
-            return np.array(ahead, dtype=np.float64)
         queues = self._by_destination
         ahead = []
         append = ahead.append

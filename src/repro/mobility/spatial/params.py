@@ -60,23 +60,24 @@ class SpatialParameters:
     distance_rate: bool = False
 
     def __post_init__(self) -> None:
-        if self.arena_width <= 0 or self.arena_height <= 0:
+        # ``not x > 0`` rather than ``x <= 0``: the latter lets nan through.
+        if not (self.arena_width > 0 and self.arena_height > 0):
             raise ValueError("arena dimensions must be positive")
-        if self.radio_range <= 0:
+        if not self.radio_range > 0:
             raise ValueError("radio_range must be positive")
-        if self.speed_min <= 0 or self.speed_max < self.speed_min:
+        if not 0 < self.speed_min <= self.speed_max:
             raise ValueError("need 0 < speed_min <= speed_max")
-        if self.pause_max < 0:
+        if not self.pause_max >= 0:
             raise ValueError("pause_max must be non-negative")
-        if self.heading_epoch <= 0:
+        if not self.heading_epoch > 0:
             raise ValueError("heading_epoch must be positive")
-        if self.time_step <= 0:
+        if not self.time_step > 0:
             raise ValueError("time_step must be positive")
-        if self.grid_spacing <= 0:
+        if not self.grid_spacing > 0:
             raise ValueError("grid_spacing must be positive")
         if not 0.0 <= self.turn_probability <= 1.0:
             raise ValueError("turn_probability must be in [0, 1]")
-        if self.link_rate <= 0:
+        if not self.link_rate > 0:
             raise ValueError("link_rate must be positive")
 
     def with_arena(self, side: float) -> "SpatialParameters":

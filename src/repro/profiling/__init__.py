@@ -5,20 +5,12 @@ without perturbing results: phases and counters are accounting only, and
 the whole subsystem is off unless explicitly enabled, so the default hot
 path pays nothing.
 
-Two runtime switches live here because every layer of the hot path needs
-them and this package imports nothing from the rest of the library:
-
-* ``REPRO_PROFILE=1`` (or the simulator option ``profile=True``) attaches
-  a :class:`Profiler` to each simulation; the per-phase wall times and
-  call counts land in ``SimulationResult.timings`` (and hence in
-  ``SimulationResult.to_dict``).  The environment variable — set by the
-  CLI ``--profile`` flag — is inherited by engine worker processes, so
-  fanned-out cells record their timings too.
-* ``REPRO_SLOW_ESTIMATES=1`` selects the *reference* delay-estimation
-  path: the original O(buffer) ``bytes_ahead_of`` scans, the eager full
-  candidate sort and per-step eviction rescoring.  The incremental fast
-  path must produce bit-identical simulation output; the golden tests and
-  ``benchmarks/bench_rapid_hotpath.py`` enforce that by running both.
+``REPRO_PROFILE=1`` (or the simulator option ``profile=True``) attaches a
+:class:`Profiler` to each simulation; the per-phase wall times and call
+counts land in ``SimulationResult.timings`` (and hence in
+``SimulationResult.to_dict``).  The environment variable — set by the CLI
+``--profile`` flag — is inherited by engine worker processes, so
+fanned-out cells record their timings too.
 """
 
 from __future__ import annotations
@@ -29,14 +21,11 @@ from typing import Callable, Dict, Optional
 
 __all__ = [
     "ENV_PROFILE",
-    "ENV_SLOW_ESTIMATES",
     "Profiler",
     "profiling_requested",
-    "slow_reference_mode",
 ]
 
 ENV_PROFILE = "REPRO_PROFILE"
-ENV_SLOW_ESTIMATES = "REPRO_SLOW_ESTIMATES"
 
 _FALSEY = {"", "0", "false", "no", "off"}
 
@@ -50,11 +39,6 @@ def profiling_requested(options: Optional[Dict[str, object]] = None) -> bool:
     if options and options.get("profile"):
         return True
     return _env_flag(ENV_PROFILE)
-
-
-def slow_reference_mode() -> bool:
-    """True when ``REPRO_SLOW_ESTIMATES`` selects the reference hot path."""
-    return _env_flag(ENV_SLOW_ESTIMATES)
 
 
 class _Phase:

@@ -38,6 +38,10 @@ class TestCLI:
             ["--load", "0"],
             ["--buffer-kb", "nan"],
             ["--buffer-kb", "-5"],
+            ["--mobility", "waypoint", "--radio-range", "-5"],
+            ["--mobility", "waypoint", "--arena", "0"],
+            ["--mobility", "waypoint", "--arena", "nan"],
+            ["--mobility", "grid", "--radio-range", "nan"],
         ],
     )
     def test_quicksim_rejects_bad_input(self, flags, capsys):

@@ -131,23 +131,6 @@ class TestRapidInference:
         gain = x.marginal_utility(packet, y, now=400.0)
         assert gain > 0
 
-    def test_known_replica_count(self):
-        x, _, _ = make_pair()
-        factory = PacketFactory()
-        packet = factory.create(source=0, destination=1)
-        x.on_packet_created(packet, now=0.0)
-        assert x.known_replica_count(packet.packet_id) == 1
-        x.metadata.update_replica(packet, holder_id=7, delay_estimate=10.0, now=1.0)
-        assert x.known_replica_count(packet.packet_id) == 2
-
-    def test_describe_buffer(self):
-        x, _, _ = make_pair()
-        factory = PacketFactory()
-        x.on_packet_created(factory.create(source=0, destination=1), now=0.0)
-        description = x.describe_buffer(now=10.0)
-        assert len(description) == 1
-        assert {"packet_id", "age", "expected_delay", "utility", "known_replicas"} <= set(description[0])
-
 
 class TestRapidExchange:
     def test_in_band_exchange_shares_acks_and_buffer_state(self):

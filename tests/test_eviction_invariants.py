@@ -9,6 +9,7 @@ memo-free eviction cascade and the lazy-heap candidate ranking.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from metadata_oracle import columnar_entries
+from rapid_oracle import ranked_candidates, reference_paths
 from repro import constants, units
 from repro.core.rapid import RapidProtocol
 from repro.dtn.node import Node
@@ -205,29 +207,28 @@ class TestMemoFreeEviction:
         # score (-inf); like the scalar loop's strict ``<``, the kernel
         # path must evict the first candidate in buffer order.
         victims = []
-        for slow in (False, True):
+        for paths in (contextlib.nullcontext, reference_paths):
             x, y, _ = make_rapid_pair(capacity=3072)
-            x._slow_reference = slow
             factory = PacketFactory()
             stored = [
                 factory.create(source=3, destination=10 + i, size=1024, creation_time=0.0)
                 for i in range(3)
             ]
-            for packet in stored:
-                assert x.accept_replica(packet, y, now=1.0)
-            incoming = factory.create(source=3, destination=20, size=1024, creation_time=2.0)
-            victims.append(x.choose_eviction_victim(incoming, 2.0))
+            with paths():
+                for packet in stored:
+                    assert x.accept_replica(packet, y, now=1.0)
+                incoming = factory.create(source=3, destination=20, size=1024, creation_time=2.0)
+                victims.append(x.choose_eviction_victim(incoming, 2.0))
         assert victims == [stored[0].packet_id, stored[0].packet_id]
 
     def test_multi_victim_cascades_match_reference(self, monkeypatch):
         """Mixed sizes force cascades of two or more victims; the memo-free
         kernel path must pick the same victims, and write the same
-        decision audit, as ``REPRO_SLOW_ESTIMATES=1``: the whole JSONL,
+        decision audit, as ``reference_paths()``: the whole JSONL,
         ranking and eviction events alike, must match line for line.
         """
         from repro.dtn.simulator import run_simulation
         from repro.observability import MemorySink
-        from repro.profiling import ENV_SLOW_ESTIMATES
 
         mobility = ExponentialMobility(
             num_nodes=6, mean_inter_meeting=40.0, transfer_opportunity=30 * units.KB, seed=2
@@ -246,10 +247,7 @@ class TestMemoFreeEviction:
             )
         original = RapidProtocol.make_room
 
-        def run(slow: bool):
-            monkeypatch.delenv(ENV_SLOW_ESTIMATES, raising=False)
-            if slow:
-                monkeypatch.setenv(ENV_SLOW_ESTIMATES, "1")
+        def run(paths):
             cascades = []
 
             def make_room(self, incoming, now):
@@ -261,19 +259,19 @@ class TestMemoFreeEviction:
 
             monkeypatch.setattr(RapidProtocol, "make_room", make_room)
             sink = MemorySink()
-            result = run_simulation(
-                schedule,
-                packets,
-                create_factory("rapid"),
-                buffer_capacity=8 * units.KB,
-                seed=4,
-                options={"decision_sink": sink},
-            )
-            monkeypatch.delenv(ENV_SLOW_ESTIMATES, raising=False)
+            with paths():
+                result = run_simulation(
+                    schedule,
+                    packets,
+                    create_factory("rapid"),
+                    buffer_capacity=8 * units.KB,
+                    seed=4,
+                    options={"decision_sink": sink},
+                )
             return cascades, sink.lines(), result.to_dict()
 
-        fast = run(slow=False)
-        slow = run(slow=True)
+        fast = run(contextlib.nullcontext)
+        slow = run(reference_paths)
         assert max(len(victims) for _, _, victims in fast[0]) >= 2
         assert fast[0] == slow[0]
         evictions = [line for line in fast[1] if '"ev":"eviction_choice"' in line]
@@ -353,8 +351,10 @@ class TestLazyHeapRanking:
             )
             x.on_packet_created(packet, now=packet.creation_time)
         lazy = [p.packet_id for p in x.replication_candidates(y, now)]
-        reference = [p.packet_id for _, p in x._ranked_candidates(y, now)]
-        assert lazy == reference
+        eager = [p.packet_id for _, p in ranked_candidates(x, y, now)]
+        with reference_paths():
+            reference = [p.packet_id for p in x.replication_candidates(y, now)]
+        assert lazy == eager == reference
 
     def test_vectorized_delays_match_scalar(self):
         rng = np.random.default_rng(0)
@@ -383,7 +383,6 @@ class TestLazyHeapRanking:
                 bytes_ahead_batch=bytes_ahead_batch,
                 bytes_ahead_of=lambda packet, now: int(ahead[packet.destination]),
             ),
-            _slow_reference=False,
         )
         packets = [
             Packet(packet_id=k, source=99, destination=k, size=int(sizes[k]))

@@ -1,11 +1,11 @@
-"""Golden bit-identity: the incremental fast path vs. the reference mode.
+"""Golden bit-identity: the incremental fast path vs. the reference oracle.
 
 RAPID's fast scoring path (per-destination serve-order index, one-pass
 own-delay loop, in-order replica-rate fold, array candidate scoring,
 lazy-heap ranking, array eviction scoring) is a pure optimisation:
-setting ``REPRO_SLOW_ESTIMATES=1`` selects the original O(buffer)
-reference computations, and both must produce **byte-identical**
-``SimulationResult.to_dict()`` output.  These tests pin that down for
+``rapid_oracle.reference_paths()`` swaps in the original O(buffer)
+per-packet reference computations, and both must produce
+**byte-identical** ``SimulationResult.to_dict()`` output.  These tests pin that down for
 one RAPID trace cell and one buffer-constrained synthetic cell, exactly
 as ``benchmarks/bench_rapid_hotpath.py`` does at larger scale.
 """
@@ -13,9 +13,6 @@ as ``benchmarks/bench_rapid_hotpath.py`` does at larger scale.
 from __future__ import annotations
 
 import json
-import os
-
-import pytest
 
 from repro import units
 from repro.engine.spec import ScenarioSpec
@@ -25,30 +22,12 @@ from repro.experiments.config import (
     SyntheticExperimentConfig,
     TraceExperimentConfig,
 )
-from repro.profiling import ENV_SLOW_ESTIMATES
+
+from rapid_oracle import reference_paths
 
 
 def _canonical(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-@pytest.fixture()
-def slow_mode_toggle():
-    """Yield a runner that executes a callable with/without the slow mode."""
-    previous = os.environ.pop(ENV_SLOW_ESTIMATES, None)
-
-    def run(fn, slow: bool):
-        os.environ.pop(ENV_SLOW_ESTIMATES, None)
-        if slow:
-            os.environ[ENV_SLOW_ESTIMATES] = "1"
-        try:
-            return fn()
-        finally:
-            os.environ.pop(ENV_SLOW_ESTIMATES, None)
-
-    yield run
-    if previous is not None:
-        os.environ[ENV_SLOW_ESTIMATES] = previous
 
 
 def _run_cell(spec: ScenarioSpec):
@@ -56,7 +35,14 @@ def _run_cell(spec: ScenarioSpec):
     return cell_worker.run_cell(spec).to_dict()
 
 
-def test_rapid_trace_cell_bit_identical(slow_mode_toggle):
+def _assert_matches_reference(spec: ScenarioSpec) -> None:
+    fast = _run_cell(spec)
+    with reference_paths():
+        reference = _run_cell(spec)
+    assert _canonical(fast) == _canonical(reference)
+
+
+def test_rapid_trace_cell_bit_identical():
     config = TraceExperimentConfig.ci_scale(seed=7, num_days=1)
     spec = ScenarioSpec.for_cell(
         config=config,
@@ -64,12 +50,10 @@ def test_rapid_trace_cell_bit_identical(slow_mode_toggle):
         load=4.0,
         run_index=0,
     )
-    fast = slow_mode_toggle(lambda: _run_cell(spec), slow=False)
-    slow = slow_mode_toggle(lambda: _run_cell(spec), slow=True)
-    assert _canonical(fast) == _canonical(slow)
+    _assert_matches_reference(spec)
 
 
-def test_rapid_synthetic_cell_bit_identical(slow_mode_toggle):
+def test_rapid_synthetic_cell_bit_identical():
     # Small buffers force eviction cascades, exercising the array eviction
     # scoring against the scalar reference.
     config = SyntheticExperimentConfig(
@@ -90,9 +74,7 @@ def test_rapid_synthetic_cell_bit_identical(slow_mode_toggle):
         load=8.0,
         run_index=0,
     )
-    fast = slow_mode_toggle(lambda: _run_cell(spec), slow=False)
-    slow = slow_mode_toggle(lambda: _run_cell(spec), slow=True)
-    assert _canonical(fast) == _canonical(slow)
+    _assert_matches_reference(spec)
 
 
 class TestContactLayerGoldenIdentity:
@@ -178,7 +160,7 @@ class TestContactLayerGoldenIdentity:
         assert _canonical(default) == _canonical(explicit)
 
 
-def test_max_delay_metric_ranking_bit_identical(slow_mode_toggle):
+def test_max_delay_metric_ranking_bit_identical():
     """The lazy heap must reproduce the eager order for every metric family."""
     config = SyntheticExperimentConfig(
         num_nodes=6,
@@ -200,6 +182,4 @@ def test_max_delay_metric_ranking_bit_identical(slow_mode_toggle):
         load=8.0,
         run_index=0,
     )
-    fast = slow_mode_toggle(lambda: _run_cell(spec), slow=False)
-    slow = slow_mode_toggle(lambda: _run_cell(spec), slow=True)
-    assert _canonical(fast) == _canonical(slow)
+    _assert_matches_reference(spec)

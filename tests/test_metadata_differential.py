@@ -189,7 +189,6 @@ def test_columnar_store_matches_reference(operations):
                 SimpleNamespace(
                     node_id=node,
                     buffer=buffer,
-                    _slow_reference=False,
                     buffer_delay_estimates=lambda now: estimates,
                     sent_buffer_estimates=sent_columns[node],
                 ),

@@ -8,7 +8,7 @@ from repro.dtn.results import SimulationResult
 from repro.dtn.simulator import run_simulation
 from repro.dtn.workload import PoissonWorkload
 from repro.mobility.exponential import ExponentialMobility
-from repro.profiling import ENV_PROFILE, Profiler, profiling_requested, slow_reference_mode
+from repro.profiling import ENV_PROFILE, Profiler, profiling_requested
 from repro.routing.registry import create_factory
 
 
@@ -54,8 +54,6 @@ class TestProfiler:
         assert profiling_requested()
         monkeypatch.setenv(ENV_PROFILE, "0")
         assert not profiling_requested()
-        monkeypatch.delenv("REPRO_SLOW_ESTIMATES", raising=False)
-        assert not slow_reference_mode()
 
 
 class TestSimulationTimings:

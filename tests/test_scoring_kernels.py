@@ -14,6 +14,7 @@ pairwise sum would round differently).
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -27,6 +28,8 @@ from repro.core.transfer_estimator import TransferSizeEstimator
 from repro.dtn.node import Node
 from repro.dtn.packet import PacketFactory
 from repro.routing.base import ProtocolContext
+
+from rapid_oracle import reference_paths
 
 HOLDER = 0
 PEER = 1
@@ -369,7 +372,7 @@ def _run_arm(monkeypatch, arm, metric, count, site):
     """Score one set on *arm*; return the answer and the audit lines.
 
     ``natural`` keeps the module's crossovers; ``kernel`` and ``scalar``
-    force one arm; ``reference`` is ``REPRO_SLOW_ESTIMATES=1``.
+    force one arm; ``reference`` runs under ``rapid_oracle.reference_paths``.
     """
     from repro.core import rapid
     from repro.observability import DecisionRecorder, MemorySink
@@ -380,14 +383,14 @@ def _run_arm(monkeypatch, arm, metric, count, site):
         monkeypatch.setattr(rapid, "_RANK_KERNEL_MIN", kernel_min)
     sink = MemorySink()
     x, y, incoming, now = _scoring_pair(metric, count, DecisionRecorder(sink))
-    x._slow_reference = arm == "reference"
-    if site == "eviction":
-        answer = x.choose_eviction_victim(incoming, now)
-    else:
-        answer = [
-            (improves, float(key), index, packet.packet_id)
-            for (improves, key), index, packet in x._candidate_scores(y, now)
-        ]
+    with reference_paths() if arm == "reference" else contextlib.nullcontext():
+        if site == "eviction":
+            answer = x.choose_eviction_victim(incoming, now)
+        else:
+            answer = [
+                (improves, float(key), index, packet.packet_id)
+                for (improves, key), index, packet in x._candidate_scores(y, now)
+            ]
     monkeypatch.undo()
     return answer, sink.lines()
 

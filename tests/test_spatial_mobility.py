@@ -76,6 +76,15 @@ class TestSpatialParameters:
         with pytest.raises(ValueError):
             SpatialParameters(turn_probability=1.5)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["arena_width", "arena_height", "radio_range", "speed_min", "speed_max",
+         "pause_max", "heading_epoch", "time_step", "grid_spacing", "link_rate"],
+    )
+    def test_nan_is_rejected(self, field):
+        with pytest.raises(ValueError):
+            SpatialParameters(**{field: float("nan")})
+
     def test_round_trip(self):
         params = PARAMS.with_arena(750.0).with_radio_range(50.0)
         rebuilt = SpatialParameters.from_dict(params.to_dict())
