@@ -20,18 +20,16 @@ end point of the Figure 8 sweep.
 from __future__ import annotations
 
 import abc
-from itertools import repeat
 from typing import TYPE_CHECKING, Optional
-
-import numpy as np
 
 from .. import constants
 from ..exceptions import ConfigurationError
 from ..routing.base import TransferBudget
-from .metadata import ReplicaBlock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .rapid import RapidProtocol
+
+_INF = float("inf")
 
 
 class _MetadataBudget:
@@ -107,7 +105,8 @@ class InBandControlChannel(ControlChannel):
     opportunity or the configured metadata cap is exhausted.  Third-party
     records cut by the budget are not re-sent until they change again,
     because the exchange time recorded for the peer advances past them
-    whether or not they fit.
+    whether or not they fit.  Own estimates go record by record, and
+    third-party records as one column block (``MetadataStore.merge``).
     """
 
     name = "in-band"
@@ -148,31 +147,31 @@ class InBandControlChannel(ControlChannel):
         """Send the sender's own delivery-delay estimates, delta-encoded.
 
         Only packets that are new to this peer or whose estimate changed
-        appreciably since the last exchange are sent (Section 4.2).  The
-        estimates last sent to each peer are gathered into a column beside
-        the buffer's (``nan`` where nothing was sent), so the changed set
-        is one mask over the buffer's estimates.
+        appreciably since the last exchange are sent (Section 4.2).  One
+        pass over the buffer compares each own estimate with the one last
+        sent to this peer, and each record that fits the budget is written
+        into the receiver's store on its own: a buffer holds a few dozen
+        packets, too few to repay numpy set-up.  An infinite estimate is
+        always re-sent, and a finite one after an infinite one counts as
+        unchanged (``inf <= 0.75 * inf``).
         """
         tolerance = constants.RAPID_ESTIMATE_TOLERANCE
-        ids = sender.buffer.packet_ids
-        # One pass over the whole buffer, bit-identical to a scalar
-        # own_delay_estimate call per packet.
-        estimates = sender.buffer_delay_estimates(now)
         sent = sender.sent_buffer_estimates.setdefault(receiver.node_id, {})
-        last = np.fromiter(map(sent.get, ids, repeat(np.nan)), dtype=np.float64, count=len(ids))
-        # An infinite estimate is always re-sent (its gap stays nan), so
-        # inf - inf, which would warn, is never computed.
-        gap = np.subtract(estimates, last, out=np.full(len(ids), np.nan), where=np.isfinite(estimates))
-        unchanged = (last > 0) & (np.abs(gap) <= tolerance * last)
-        changed = np.flatnonzero(~unchanged)
+        last_sent = sent.get
+        changed = [
+            (packet, estimate)
+            for packet, estimate in zip(sender.buffer.packets(), sender.buffer_delay_estimates(now))
+            if not (
+                estimate != _INF
+                and (last := last_sent(packet.packet_id, 0.0)) > 0
+                and abs(estimate - last) <= tolerance * last
+            )
+        ]
         sendable = meta_budget.consume_entries(len(changed), constants.RAPID_METADATA_ENTRY_BYTES)
-        if sendable > 0:
-            ids = np.array(ids, dtype=np.int64)[changed[:sendable]]
-            estimates = estimates[changed[:sendable]]
-            holders = np.full(sendable, sender.node_id, dtype=np.int64)
-            updated = np.full(sendable, now, dtype=np.float64)
-            receiver.metadata.merge(ReplicaBlock(ids, holders, estimates, updated), now)
-            sent.update(zip(ids.tolist(), estimates.tolist()))
+        update = receiver.metadata.update_replica
+        for packet, estimate in changed[:sendable]:
+            update(packet, sender.node_id, estimate, now, tolerance, learned_at=now)
+            sent[packet.packet_id] = estimate
 
     def _send_tables(self, sender, receiver, meta_budget: _MetadataBudget) -> None:
         """Send meeting-time tables, charging only for entries changed since

@@ -9,18 +9,19 @@ that changed since the last exchange with a peer.
 The store keeps one *slot* per live (packet, holder) record in parallel
 columns: the packet id, the holder, the estimate, ``updated_at`` (the
 estimate's own timestamp), ``changed_at`` (when this node last learned
-something meaningful about it) and a *rank*, ``seq * 2**32 + order``: entries take ``seq`` in
-creation order and slots take ``order`` from one store-wide counter, so
-rank order is the order of a per-packet dict of per-holder records (a
-holder removed and re-added goes last).  That order decides which records
-fit when a metadata budget cuts an exchange.  The channel selects changed
-slots with one mask (:meth:`MetadataStore.entries_changed_since`) and the
-receiver merges the block in one vectorised pass
-(:meth:`MetadataStore.merge`); the scalar entry points
-(:meth:`~MetadataStore.update_replica`, :meth:`~MetadataStore.remove_replica`)
-write single slots.  A dict of dicts, packet -> holder -> slot in holder
-order, indexes the slots.  Freed slots are reused, and the columns double
-only when none is free.
+something meaningful about it) and a *rank*, ``seq * 2**32 + order``:
+entries take ``seq`` in creation order and slots take ``order`` from one
+store-wide counter, so rank order is the order of a per-packet dict of
+per-holder records (a holder removed and re-added goes last).  That order
+decides which records fit when a metadata budget cuts an exchange.  The
+third-party send selects changed slots with one mask
+(:meth:`MetadataStore.entries_changed_since`) and merges them into the
+receiver in one vectorised pass (:meth:`MetadataStore.merge`); the scalar
+entry points (:meth:`~MetadataStore.update_replica`, also taking the
+buffer-state send's records, :meth:`~MetadataStore.remove_replica`) write
+single slots.  A dict of dicts, packet -> holder -> slot in holder order,
+indexes the slots.  Freed slots are reused, and the columns double only
+when none is free.
 """
 
 from __future__ import annotations

@@ -301,7 +301,7 @@ class RapidProtocol(RoutingProtocol):
         delay_lists = self._scalar_replica_delays(candidates, now, _RANK_KERNEL_MIN)
         if delay_lists is None:
             return self._rank_score_arrays(peer, candidates, now)
-        peer_delays = self._direct_delays_for_holder(peer, candidates, now).tolist()
+        peer_delays = self._direct_delays_for_holder(peer, candidates, now)
         return self._rank_scalar(peer, candidates, delay_lists, peer_delays, now)
 
     def _per_packet_candidate_scores(
@@ -344,8 +344,8 @@ class RapidProtocol(RoutingProtocol):
         golden tests hold the fast path to the per-packet reference of
         ``tests/rapid_oracle.py``).
         """
-        own_delays = self._direct_delays_for_holder(self, candidates, now)
-        peer_delays = self._direct_delays_for_holder(peer, candidates, now)
+        own_delays = np.array(self._direct_delays_for_holder(self, candidates, now))
+        peer_delays = np.array(self._direct_delays_for_holder(peer, candidates, now))
         rate, degenerate = self._fold_replica_rates(candidates, own_delays)
         before = delay_module.combined_remaining_delay_array(rate, degenerate)
         rate_after, degenerate_after = delay_module.fold_extra_delay(
@@ -399,9 +399,7 @@ class RapidProtocol(RoutingProtocol):
         node_id = self.node_id
         return [
             [own, *estimates(packet.packet_id, node_id)]
-            for own, packet in zip(
-                self._direct_delays_for_holder(self, candidates, now).tolist(), candidates
-            )
+            for own, packet in zip(self._direct_delays_for_holder(self, candidates, now), candidates)
         ]
 
     def _audit_replication_rank(
@@ -435,21 +433,22 @@ class RapidProtocol(RoutingProtocol):
 
     def _direct_delays_for_holder(
         self, holder: "RapidProtocol", packets: Sequence[Packet], now: float
-    ) -> np.ndarray:
+    ) -> List[float]:
         """``d_holder(i) = E(M) * max(ceil((b + s) / B), 1)`` for every packet.
 
-        One pass over the packets.  The holder's ``E(M_XZ)``, ``B_X(Z)``
-        and bytes queued for ``Z`` depend only on the destination, so they
-        are looked up once per distinct destination.  The queue position
-        ``b`` never exceeds the queued bytes, so a packet whose queue plus
-        own size fits one expected transfer (``queued + s <= B``, an exact
-        int/float comparison) needs one meeting wherever it stands; only
+        One pass over the packets, into a list: the scalar folds read it as
+        is, and only the array kernels wrap it.  The holder's ``E(M_XZ)``,
+        ``B_X(Z)`` and bytes queued for ``Z`` depend only on the destination,
+        so they are looked up once per distinct destination.  The queue
+        position ``b`` never exceeds the queued bytes, so a packet whose queue
+        plus own size fits one expected transfer (``queued + s <= B``, an
+        exact int/float comparison) needs one meeting wherever it stands; only
         the other packets' ``b`` come from one ``bytes_ahead_batch`` call.
         Element ``k`` equals the scalar :meth:`own_delay_estimate` bit for
         bit: the same quotient, ceil and product, an infinite ``E(M)``
         multiplying through to :data:`~repro.constants.NEVER_MEET`, the
-        packet's own size standing in for a missing transfer estimate and
-        one meeting for ``B <= 0``.
+        packet's own size standing in for a missing transfer estimate and one
+        meeting for ``B <= 0``.
         """
         meeting_time = holder.meetings.expected_meeting_time
         transfer_bytes = holder.transfer_sizes.expected_bytes_or_none
@@ -480,7 +479,7 @@ class RapidProtocol(RoutingProtocol):
                 meetings = ceil((bytes_ahead + packet.size) / transfer)
                 if meetings > 1:
                     delays[k] *= meetings
-        return np.array(delays, dtype=np.float64)
+        return delays
 
     def _fold_replica_rates(
         self, packets: Sequence[Packet], own_delays: np.ndarray
@@ -501,7 +500,7 @@ class RapidProtocol(RoutingProtocol):
             count,
         )
 
-    def buffer_delay_estimates(self, now: float) -> np.ndarray:
+    def buffer_delay_estimates(self, now: float) -> List[float]:
         """Own direct-delivery delay estimates for every buffered packet.
 
         One pass aligned with ``buffer.packets()`` — the batched
@@ -700,7 +699,7 @@ class RapidProtocol(RoutingProtocol):
         buffer, so the own estimate leads each fold exactly as
         ``replica_delays`` does).
         """
-        own_delays = self._direct_delays_for_holder(self, candidates, now)
+        own_delays = np.array(self._direct_delays_for_holder(self, candidates, now))
         rate, degenerate = self._fold_replica_rates(candidates, own_delays)
         remaining = delay_module.combined_remaining_delay_array(rate, degenerate)
         store = self.buffer.store

@@ -13,11 +13,12 @@ served ahead of them (``bytes_ahead_of``).  The buffer answers both from
 a per-destination *serve-order index*: the same-destination packets
 sorted by float creation time, ids in a parallel list breaking ties — the
 static serve order of Algorithm 2 (oldest first, ties by id) — with
-lazily rebuilt prefix sums of their sizes, whose last entry is the
-queued total.  ``bytes_ahead_of`` is one binary search (more only inside
-a run of equal times), with no tuple or list built, and
-:meth:`bytes_ahead_batch` answers a whole meeting's queries the same way
-into an array.  Protocols that never ask pay only the list surgery on
+lazily rebuilt prefix sums of their sizes and a running total of them.
+``queued_bytes`` reads the total in O(1) and builds no prefix sums;
+``bytes_ahead_of`` is one binary search (more only inside a run of equal
+times), with no tuple or list built, and :meth:`bytes_ahead_batch`
+answers a whole meeting's queries the same way into an array.  Protocols
+that never ask pay only the list surgery and the total's update on
 :meth:`NodeBuffer.add` and :meth:`NodeBuffer.remove`.  The original
 O(buffer) scan survives for the one case the index cannot order (a query
 ``now`` before a stored packet's creation); the test oracle
@@ -52,19 +53,20 @@ class _DestinationQueue:
     ``times`` holds the creation times sorted ascending and ``ids`` the
     packet ids beside them, ascending within each run of equal times:
     the serve order (descending time-in-system, ties by smaller id).
-    ``sizes`` is parallel too; ``prefix`` holds its prefix sums, rebuilt
-    lazily (``None`` after a mutation) by the first query, so a burst of
-    queries between meetings pays O(log n) each while adds/removes stay
-    O(n) list surgery at worst.
+    ``sizes`` is parallel too, and ``total`` its running sum.  ``prefix``
+    holds its prefix sums, rebuilt lazily (``None`` after a mutation) by
+    the first position query, so a burst of queries between meetings pays
+    O(log n) each while adds/removes stay O(n) list surgery at worst.
     """
 
-    __slots__ = ("times", "ids", "sizes", "prefix")
+    __slots__ = ("times", "ids", "sizes", "prefix", "total")
 
     def __init__(self) -> None:
         self.times: List[float] = []
         self.ids: List[int] = []
         self.sizes: List[int] = []
         self.prefix: Optional[List[int]] = None
+        self.total = 0
 
     def rank(self, created: float, packet_id: int) -> int:
         """Entries served before ``(created, packet_id)``, stored or not.
@@ -79,16 +81,12 @@ class _DestinationQueue:
             index = bisect_left(self.ids, packet_id, index + 1, end)
         return index
 
-    def sums(self) -> List[int]:
-        """The prefix sums of ``sizes``, rebuilt if a mutation dropped them."""
+    def ahead(self, created: float, packet_id: int) -> int:
+        """Bytes served before ``(created, packet_id)``; rebuilds dropped prefix sums."""
         prefix = self.prefix
         if prefix is None:
             prefix = self.prefix = [0, *accumulate(self.sizes)]
-        return prefix
-
-    def ahead(self, created: float, packet_id: int) -> int:
-        """Bytes served before ``(created, packet_id)``."""
-        return self.sums()[self.rank(created, packet_id)]
+        return prefix[self.rank(created, packet_id)]
 
     def add(self, created: float, packet_id: int, size: int) -> None:
         index = self.rank(created, packet_id)
@@ -96,6 +94,7 @@ class _DestinationQueue:
         self.ids.insert(index, packet_id)
         self.sizes.insert(index, size)
         self.prefix = None
+        self.total += size
 
     def remove(self, created: float, packet_id: int) -> None:
         index = self.rank(created, packet_id)
@@ -103,7 +102,7 @@ class _DestinationQueue:
             raise BufferError_(f"destination index out of sync for packet {packet_id}")
         del self.times[index]
         del self.ids[index]
-        del self.sizes[index]
+        self.total -= self.sizes.pop(index)
         self.prefix = None
 
 
@@ -335,12 +334,12 @@ class NodeBuffer:
         """Total size of the stored packets destined to *destination*.
 
         No :meth:`bytes_ahead_of` answer for that destination exceeds it,
-        whether the queried packet is held or not.  It is the last of the
-        serve-order index's prefix sums, so the protocols that never ask
-        pay nothing for it on :meth:`add` and :meth:`remove`.
+        whether the queried packet is held or not.  The serve-order index
+        keeps it as a running total, so it costs O(1) and leaves the
+        prefix sums unbuilt.
         """
         queue = self._by_destination.get(destination)
-        return 0 if queue is None else queue.sums()[-1]
+        return 0 if queue is None else queue.total
 
     def bytes_ahead_of(self, packet: Packet, now: float) -> int:
         """Return ``b(i)``: bytes of same-destination packets served before *packet*.
@@ -443,6 +442,8 @@ class NodeBuffer:
             keys = list(zip(queue.times, queue.ids))
             if sorted(keys) != keys:
                 raise BufferError_(f"destination {destination} index is unsorted")
+            if queue.total != sum(queue.sizes):
+                raise BufferError_(f"destination {destination} queued-bytes drift")
             for (creation_time, packet_id), size in zip(keys, queue.sizes):
                 packet = self.by_id.get(packet_id)
                 if packet is None or packet.size != size or packet.creation_time != creation_time:

@@ -1,8 +1,8 @@
 """Reference replica-metadata store and scalar control-channel loops.
 
 The test oracle for :mod:`repro.core.metadata` and the in-band channel's
-column-block sends: a per-node dict of per-packet entries, each a dict of
-per-holder records, merged one record at a time.  Its dict orders are the
+buffer-state and third-party sends: a per-node dict of per-packet
+entries, each a dict of per-holder records, merged one record at a time.  Its dict orders are the
 behaviour the columnar store must reproduce exactly — entries iterate in
 creation order, holders in insertion order (a removed-then-re-added
 holder goes last) — because which records fit a metadata budget depends

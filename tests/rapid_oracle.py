@@ -58,10 +58,8 @@ def _own_delay_estimate(self: RapidProtocol, packet: Packet, now: float) -> floa
 
 def _direct_delays_for_holder(
     self: RapidProtocol, holder: RapidProtocol, packets: Sequence[Packet], now: float
-) -> np.ndarray:
-    return np.array(
-        [holder.own_delay_estimate(packet, now) for packet in packets], dtype=np.float64
-    )
+) -> List[float]:
+    return [holder.own_delay_estimate(packet, now) for packet in packets]
 
 
 def _candidate_scores(

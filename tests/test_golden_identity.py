@@ -6,12 +6,17 @@ lazy-heap ranking, array eviction scoring) is a pure optimisation:
 ``rapid_oracle.reference_paths()`` swaps in the original O(buffer)
 per-packet reference computations, and both must produce
 **byte-identical** ``SimulationResult.to_dict()`` output.  These tests pin that down for
-one RAPID trace cell and one buffer-constrained synthetic cell, exactly
-as ``benchmarks/bench_rapid_hotpath.py`` does at larger scale.
+one RAPID trace cell, one buffer-constrained synthetic cell and one
+synthetic cell whose small transfer opportunities make most estimates
+span several meetings, exactly as ``benchmarks/bench_rapid_hotpath.py``
+does at larger scale.  The multi-meeting cell also pins its output to a
+SHA-256 digest, so a change to the delay formula that both paths share
+cannot pass unseen.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 from repro import units
@@ -75,6 +80,39 @@ def test_rapid_synthetic_cell_bit_identical():
         run_index=0,
     )
     _assert_matches_reference(spec)
+
+
+#: SHA-256 of the multi-meeting cell's canonical ``to_dict()`` output.
+MULTI_MEETING_DIGEST = "de79d6cd85bc568723321cdc4d9ee13b1945cfc304c341170da4f08cbcba6b65"
+
+
+def test_rapid_multi_meeting_cell_bit_identical():
+    # 8 KB transfer opportunities against 100 KB buffers: queues outgrow
+    # one expected transfer, so most direct-delivery estimates take the
+    # ``E(M) * ceil((b + s) / B)`` multiplier and the queue-position path.
+    config = SyntheticExperimentConfig(
+        num_nodes=8,
+        mean_inter_meeting=70.0,
+        transfer_opportunity=8 * units.KB,
+        duration=4 * units.MINUTE,
+        buffer_capacity=100 * units.KB,
+        deadline=25.0,
+        packet_interval=50.0,
+        mobility="exponential",
+        num_runs=1,
+        seed=13,
+    )
+    spec = ScenarioSpec.for_cell(
+        config=config,
+        protocol=ProtocolSpec(label="rapid", registry_name="rapid"),
+        load=4.0,
+        run_index=0,
+    )
+    fast = _canonical(_run_cell(spec))
+    with reference_paths():
+        reference = _canonical(_run_cell(spec))
+    assert fast == reference
+    assert hashlib.sha256(fast.encode()).hexdigest() == MULTI_MEETING_DIGEST
 
 
 class TestContactLayerGoldenIdentity:

@@ -89,15 +89,29 @@ OPERATIONS = st.sampled_from(
 
 
 class _Recorder:
-    """Stands in for a receiver's store; records each merged block."""
+    """Stands in for a receiver's store; records every record it is sent.
+
+    The third-party send arrives as merged blocks, the buffer-state send
+    record by record; both land in ``records`` and ``results`` in order.
+    """
 
     def __init__(self, store: MetadataStore) -> None:
         self.store = store
-        self.blocks = []
+        self.records = []
+        self.results = []
 
     def merge(self, block, learned_at):
         result = self.store.merge(block, learned_at)
-        self.blocks.append((block, result))
+        self.records.extend(_records(block))
+        self.results.extend(result.tolist())
+        return result
+
+    def update_replica(self, packet, holder_id, estimate, now, tolerance, learned_at):
+        result = self.store.update_replica(
+            packet, holder_id, estimate, now, tolerance, learned_at=learned_at
+        )
+        self.records.append((packet.packet_id, holder_id, estimate, now))
+        self.results.append(result)
         return result
 
 
@@ -169,13 +183,11 @@ def test_columnar_store_matches_reference(operations):
                 clock,
                 _budget(operation[2]),
             )
-            emitted = [r for block, _ in recorder.blocks for r in _records(block)]
-            results = [v for _, result in recorder.blocks for v in result.tolist()]
             expected, expected_results = send_third_party(
                 reference[node], reference[peer], peer, last, clock, operation[2]
             )
-            assert emitted == expected
-            assert results == expected_results
+            assert recorder.records == expected
+            assert recorder.results == expected_results
             last_exchange[node][peer] = clock
         elif kind == "buffer_state":
             _, _, contents, budget = operation
@@ -196,11 +208,7 @@ def test_columnar_store_matches_reference(operations):
                 clock,
                 _budget(budget),
             )
-            emitted = [
-                (packet_id, estimate)
-                for block, _ in recorder.blocks
-                for packet_id, _, estimate, _ in _records(block)
-            ]
+            emitted = [(packet_id, estimate) for packet_id, _, estimate, _ in recorder.records]
             expected = send_buffer_state(
                 node,
                 [(PACKETS[index], estimate) for index, estimate in contents],

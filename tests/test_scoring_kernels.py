@@ -121,8 +121,8 @@ def test_direct_delays_match_scalar(packets, met, initial, transfers, now):
     # (packets not in its buffer) share one kernel; creation times after
     # ``now`` take the buffer's scan path.
     delays = peer._direct_delays_for_holder(x, queried, now)
-    assert delays.dtype == np.float64 and len(delays) == len(queried)
-    for packet, delay in zip(queried, delays.tolist()):
+    assert len(delays) == len(queried) and all(type(delay) is float for delay in delays)
+    for packet, delay in zip(queried, delays):
         assert delay == x.own_delay_estimate(packet, now)
 
 
@@ -136,7 +136,7 @@ def test_buffer_delay_estimates_align_with_buffer_order():
         )
         x.buffer.add(packet, 10.0)
     estimates = x.buffer_delay_estimates(10.0)
-    assert estimates.tolist() == [x.own_delay_estimate(p, 10.0) for p in x.buffer.packets()]
+    assert estimates == [x.own_delay_estimate(p, 10.0) for p in x.buffer.packets()]
 
 
 @pytest.mark.parametrize(
@@ -170,7 +170,7 @@ def test_scalar_delay_formula_matches_kernel_bit_for_bit(
         x.buffer.add(packet, 10.0)
     kernel = (x if asker == "self" else peer)._direct_delays_for_holder(x, queried, 10.0)
     scalar = [x.own_delay_estimate(packet, 10.0) for packet in queried]
-    assert [float.hex(value) for value in kernel.tolist()] == list(map(float.hex, scalar))
+    assert [float.hex(value) for value in kernel] == list(map(float.hex, scalar))
 
 
 def _full_formula(x: RapidProtocol, packet, now: float) -> float:
@@ -234,7 +234,7 @@ def test_fast_delay_matches_the_full_formula(packets, pivot, transfer, now):
     full = [float.hex(float(_full_formula(x, packet, now))) for packet in queried]
     scalar = [float.hex(float(x.own_delay_estimate(packet, now))) for packet in queried]
     for holder in (x, peer):
-        batch = holder._direct_delays_for_holder(x, queried, now).tolist()
+        batch = holder._direct_delays_for_holder(x, queried, now)
         assert list(map(float.hex, batch)) == full
     assert scalar == full
 
